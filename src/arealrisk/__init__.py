@@ -12,14 +12,12 @@ from .graph import (
     car_log_kernel,
     car_pairwise_sum,
     load_adjacency,
-    neighbor_mean,
 )
 from .model import (
     Dataset,
     ModelSpec,
     apply_link,
     internal_standardization,
-    linear_predictor,
     load_dataset,
     log_likelihood_cg,
     log_likelihood_is,
@@ -30,7 +28,6 @@ from .estimators import (
     risk_cg_tilde,
     risk_cg_true,
     risk_is,
-    shrinkage_data,
     summarize,
 )
 from .simstudy import (

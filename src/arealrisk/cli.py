@@ -35,7 +35,14 @@ from .metrics import (
     observed_raw_risks,
     write_forecast_report,
 )
-from .model import ModelSpec, internal_standardization, load_dataset
+from .model import (
+    LINKS,
+    ModelSpec,
+    _fmt,
+    _write_json,
+    internal_standardization,
+    load_dataset,
+)
 from .sampler import SamplerConfig, run_chain, write_draws_csv, write_metadata_json
 from .seeding import derive_seed
 from .simstudy import (
@@ -55,16 +62,17 @@ class CommandError(ValueError):
     """User-facing validation failure."""
 
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(args, default=0):
+    """``--seed``, else the ``AREALRISK_SEED`` environment variable, else default."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CommandError(f"{ENV_SEED} must be an integer, got {env!r}")
-    return 0
+    if env is None:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise CommandError(f"{ENV_SEED} must be an integer, got {env!r}")
 
 
 def _out_dir(args) -> Path:
@@ -73,9 +81,15 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _print_config(args, config: dict) -> int:
-    json.dump(config, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+def _print_config(args) -> int:
+    """Print the parsed flags and the resolved seed; study prints its merged INI."""
+    if args.subcommand == "study":
+        config = _study_settings(args)
+    else:
+        config = {k: v for k, v in vars(args).items()
+                  if k not in ("func", "print_config")}
+        config["seed"] = _resolve_seed(args)
+    _write_json(config, sys.stdout)
     return 0
 
 
@@ -107,13 +121,12 @@ def _add_common_flags(p):
                    help="credible-interval level")
 
 
-def _spec_from_args(args, temporal: str) -> ModelSpec:
-    if args.family == "is":
+def _spec_from_args(args, family: str, temporal: str) -> ModelSpec:
+    if family == "is":
         return ModelSpec("is", temporal=temporal)
-    link = args.link or "logit"
-    if link == "skewed_logit" and args.c0 is None:
+    if args.link == "skewed_logit" and args.c0 is None:
         raise CommandError("skewed_logit requires --c0")
-    return ModelSpec("cg", link=link, c0=args.c0, temporal=temporal)
+    return ModelSpec("cg", link=args.link, c0=args.c0, temporal=temporal)
 
 
 def _fit_summaries(samples, dataset, level):
@@ -141,19 +154,10 @@ def _fit_summaries(samples, dataset, level):
 
 def cmd_fit(args) -> int:
     seed = _resolve_seed(args)
-    if args.print_config:
-        return _print_config(args, {
-            "subcommand": "fit", "data": args.data, "adjacency": args.adjacency,
-            "family": args.family, "link": args.link or "logit", "c0": args.c0,
-            "iterations": args.iterations, "burn_in": args.burn_in,
-            "thin": args.thin, "adapt_window": args.adapt_window,
-            "level": args.level, "seed": seed, "out": args.out,
-            "dump_draws": args.dump_draws,
-        })
     dataset = load_dataset(args.data)
     graph = load_adjacency(args.adjacency, region_ids=dataset.region_ids)
     temporal = "dynamic_ar1" if dataset.is_dynamic else "static"
-    spec = _spec_from_args(args, temporal)
+    spec = _spec_from_args(args, args.family, temporal)
     config = _sampler_config(args, derive_seed(seed, "fit", spec.family, spec.link))
 
     samples = run_chain(dataset, graph, spec, config)
@@ -217,15 +221,6 @@ def _write_adjacency_csv(graph, path) -> None:
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
-    if args.print_config:
-        return _print_config(args, {
-            "subcommand": "simulate", "adjacency": args.adjacency,
-            "populations": args.populations, "lattice": args.lattice,
-            "baseline": args.baseline, "hub_bumps": args.hub_bumps,
-            "neighbor_bump": args.neighbor_bump, "hubs": args.hubs,
-            "population_scale": args.population_scale, "seed": seed,
-            "out": args.out,
-        })
     graph, pops = _graph_and_populations(args, seed)
     truth = _truth_from_args(args, graph, pops)
     dataset = simulate_counts(truth, seed=derive_seed(seed, "replicate", 0))
@@ -234,13 +229,12 @@ def cmd_simulate(args) -> int:
     with open(out / "dataset.csv", "w", newline="") as fh:
         fh.write("region,y,n\n")
         for r, y, n in zip(dataset.region_ids, dataset.y, dataset.n):
-            fh.write(f"{r},{int(y)},{repr(float(n))}\n")
+            fh.write(f"{r},{int(y)},{_fmt(n)}\n")
     with open(out / "truth.csv", "w", newline="") as fh:
         fh.write("region,n,p_true,r_true\n")
         for i, r in enumerate(truth.region_ids):
-            fh.write(f"{r},{repr(float(truth.populations[i]))},"
-                     f"{repr(float(truth.p_true[i]))},"
-                     f"{repr(float(truth.r_true[i]))}\n")
+            fh.write(f"{r},{_fmt(truth.populations[i])},"
+                     f"{_fmt(truth.p_true[i])},{_fmt(truth.r_true[i])}\n")
     if not args.adjacency:
         _write_adjacency_csv(graph, out / "adjacency.csv")
     return 0
@@ -279,10 +273,7 @@ def _study_settings(args) -> dict:
     cp = _load_study_config(args.config)
     cfg = {s: dict(cp[s]) for s in cp.sections()}
     # flag overrides
-    if args.seed is not None:
-        cfg["run"]["seed"] = str(args.seed)
-    elif os.environ.get(ENV_SEED):
-        cfg["run"]["seed"] = os.environ[ENV_SEED]
+    cfg["run"]["seed"] = str(_resolve_seed(args, default=cfg["run"]["seed"]))
     if args.replicates is not None:
         cfg["study"]["replicates"] = str(args.replicates)
     if args.jobs is not None:
@@ -300,14 +291,14 @@ def _study_settings(args) -> dict:
 
 def cmd_study(args) -> int:
     cfg = _study_settings(args)
-    if args.print_config:
-        return _print_config(args, cfg)
     seed = int(cfg["run"]["seed"])
-    jobs = int(cfg["run"]["jobs"])
+    # the report echoes cfg; jobs leaves it so that the report is the same
+    # whatever the number of worker processes
+    jobs = int(cfg["run"].pop("jobs"))
     level = float(cfg["study"]["level"])
     links = [s.strip() for s in cfg["study"]["links"].split(",") if s.strip()]
     for link in links:
-        if link not in ("logit", "cloglog", "skewed_logit"):
+        if link not in LINKS:
             raise CommandError(f"unknown link {link!r}")
     c0 = None
     if "skewed_logit" in links:
@@ -370,8 +361,7 @@ def cmd_study(args) -> int:
         "cells": {link: study_report(res) for link, res in cells.items()},
     }
     with open(out / "study_report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _write_json(report, fh)
     # long-format matrices for the first (or only) link cell
     first = cells[links[0]]
     write_matrix_csv(first, "coverage", out / "coverage.csv")
@@ -385,16 +375,6 @@ def cmd_study(args) -> int:
 
 def cmd_forecast(args) -> int:
     seed = _resolve_seed(args)
-    if args.print_config:
-        return _print_config(args, {
-            "subcommand": "forecast", "data": args.data,
-            "adjacency": args.adjacency, "family": args.family,
-            "link": args.link or "logit", "c0": args.c0,
-            "holdout": args.holdout, "iterations": args.iterations,
-            "burn_in": args.burn_in, "thin": args.thin,
-            "adapt_window": args.adapt_window, "level": args.level,
-            "seed": seed, "out": args.out,
-        })
     panel = load_dataset(args.data)
     if not panel.is_dynamic:
         raise CommandError("forecast requires a panel dataset with a year column")
@@ -417,10 +397,6 @@ def cmd_forecast(args) -> int:
     observed = observed_raw_risks(panel, t_hold)
 
     families = ["cg", "is"] if args.family == "both" else [args.family]
-    link = args.link or "logit"
-    if link == "skewed_logit" and args.c0 is None:
-        raise CommandError("skewed_logit requires --c0")
-
     report = {
         "holdout": holdout,
         "last_fitted_year": labels[t_hold - 1],
@@ -428,13 +404,8 @@ def cmd_forecast(args) -> int:
         "estimators": {},
     }
     for family in families:
-        if family == "cg":
-            dyn_spec = ModelSpec("cg", link=link, c0=args.c0,
-                                 temporal="dynamic_ar1")
-            sta_spec = ModelSpec("cg", link=link, c0=args.c0)
-        else:
-            dyn_spec = ModelSpec("is", temporal="dynamic_ar1")
-            sta_spec = ModelSpec("is")
+        dyn_spec = _spec_from_args(args, family, "dynamic_ar1")
+        sta_spec = _spec_from_args(args, family, "static")
         dyn_cfg = _sampler_config(args, derive_seed(seed, "fit", "dynamic", family))
         sta_cfg = _sampler_config(args, derive_seed(seed, "fit", "static", family))
         dyn = run_chain(fit_panel, graph, dyn_spec, dyn_cfg)
@@ -499,12 +470,6 @@ def _read_summary(path):
 
 
 def cmd_compare(args) -> int:
-    if args.print_config:
-        return _print_config(args, {
-            "subcommand": "compare", "left": args.left, "right": args.right,
-            "left_estimator": args.left_estimator,
-            "right_estimator": args.right_estimator, "out": args.out,
-        })
     left = _read_summary(args.left)
     right = _read_summary(args.right)
     lsel = {(r, t): row for (r, t, e), row in left.items()
@@ -530,10 +495,8 @@ def cmd_compare(args) -> int:
         "n_left_shorter": int(shorter.sum()),
         "fraction_left_shorter": float(shorter.mean()),
     }
-    out = _out_dir(args)
-    with open(out / "comparison.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(_out_dir(args) / "comparison.json", "w") as fh:
+        _write_json(report, fh)
     return 0
 
 
@@ -552,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--adjacency", required=True)
     p_fit.add_argument("--family", choices=["is", "cg"], required=True)
-    p_fit.add_argument("--link", choices=["logit", "cloglog", "skewed_logit"])
+    p_fit.add_argument("--link", choices=LINKS, default="logit")
     p_fit.add_argument("--c0", type=float, default=None)
     p_fit.add_argument("--dump-draws", dest="dump_draws", action="store_true")
     _add_sampler_flags(p_fit)
@@ -593,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.add_argument("--data", required=True)
     p_fc.add_argument("--adjacency", required=True)
     p_fc.add_argument("--family", choices=["is", "cg", "both"], default="both")
-    p_fc.add_argument("--link", choices=["logit", "cloglog", "skewed_logit"])
+    p_fc.add_argument("--link", choices=LINKS, default="logit")
     p_fc.add_argument("--c0", type=float, default=None)
     p_fc.add_argument("--holdout", default=None, help="held-out year label")
     _add_sampler_flags(p_fc)
@@ -618,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _print_config(args) if args.print_config else args.func(args)
     except (CommandError, ValueError, OSError, RuntimeError, KeyError) as exc:
         json.dump(
             {"error": type(exc).__name__, "message": str(exc)},

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import json
-
 import numpy as np
 
-from .model import Dataset, apply_link
+from .model import Dataset, _eta, _fmt, _write_json, apply_link
 from .sampler import PosteriorSamples
 
 __all__ = [
@@ -29,7 +27,6 @@ __all__ = [
     "risk_cg_true",
     "incidence_draws",
     "summarize",
-    "shrinkage_data",
     "write_summary_csv",
     "write_geojson_properties",
 ]
@@ -56,16 +53,14 @@ class RiskSummary:
         return self.upper - self.lower
 
 
-def _eta_draws(samples: PosteriorSamples, dataset: Dataset, t: int | None):
-    beta = samples.beta  # (D, k)
-    if dataset.is_dynamic:
-        if t is None:
-            raise ValueError("panel dataset requires a time index")
-        eta = beta @ dataset.x[:, t, :].T + samples.phi
-        eta = eta + samples.alpha[:, t][:, None]
-    else:
-        eta = beta @ dataset.x.T + samples.phi
-    return eta
+def _slice_eta(samples: PosteriorSamples, dataset: Dataset, t: int | None):
+    """Linear-predictor draws (D, I) at slice ``t``; static data is one slice."""
+    if not dataset.is_dynamic:
+        return _eta(samples.beta @ dataset.x.T, samples.phi)
+    if t is None:
+        raise ValueError("panel dataset requires a time index")
+    return _eta(samples.beta @ dataset.x[:, t, :].T, samples.phi,
+                samples.alpha[:, t, None])
 
 
 def incidence_draws(samples: PosteriorSamples, dataset: Dataset,
@@ -73,7 +68,7 @@ def incidence_draws(samples: PosteriorSamples, dataset: Dataset,
     """Per-draw incidence probabilities p from a CG fit, (draws, regions)."""
     if samples.spec.family != "cg":
         raise TypeError("incidence draws require a CG-family fit")
-    return apply_link(samples.spec.link, _eta_draws(samples, dataset, t),
+    return apply_link(samples.spec.link, _slice_eta(samples, dataset, t),
                       samples.spec.c0)
 
 
@@ -82,7 +77,7 @@ def risk_is(samples: PosteriorSamples, dataset: Dataset,
     """Relative-risk draws exp(x'beta + phi (+ alpha_t)) from an IS fit."""
     if samples.spec.family != "is":
         raise TypeError("risk_is requires an IS-family fit")
-    return np.exp(_eta_draws(samples, dataset, t))
+    return np.exp(_slice_eta(samples, dataset, t))
 
 
 def risk_cg_tilde(samples: PosteriorSamples, dataset: Dataset, E,
@@ -97,7 +92,7 @@ def risk_cg_tilde(samples: PosteriorSamples, dataset: Dataset, E,
         E_t = E[:, t] if E.ndim == 2 else E
     else:
         n_t, E_t = dataset.n, E
-    return p * (n_t / E_t)[None, :]
+    return _cg_risk("r_cg_tilde", p, n_t, E_t)
 
 
 def risk_cg_true(samples: PosteriorSamples, dataset: Dataset,
@@ -109,6 +104,13 @@ def risk_cg_true(samples: PosteriorSamples, dataset: Dataset,
     """
     p = incidence_draws(samples, dataset, t)
     n_t = dataset.n[:, t] if dataset.is_dynamic else dataset.n
+    return _cg_risk("r_cg", p, n_t)
+
+
+def _cg_risk(estimator: str, p, n_t, E_t=None) -> np.ndarray:
+    """``r_cg`` or ``r_cg_tilde`` draws from the incidence draws of one slice."""
+    if estimator == "r_cg_tilde":
+        return p * (n_t / E_t)[None, :]
     pbar = (p @ n_t) / n_t.sum()
     return p / pbar[:, None]
 
@@ -140,24 +142,8 @@ def summarize(risk: np.ndarray, region_ids, estimator: str,
     )
 
 
-def shrinkage_data(summary: RiskSummary, raw) -> np.ndarray:
-    """Pairs (raw MLE risk, smoothed posterior mean) per region.
-
-    Returns an (I, 2) array ordered like ``summary.region_ids`` for
-    shrinkage plotting by external tools.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if raw.shape != summary.mean.shape:
-        raise ValueError("raw risks not conformable with the summary")
-    return np.column_stack([raw, summary.mean])
-
-
 # ---------------------------------------------------------------------------
 # artifact writers
-
-
-def _fmt(v) -> str:
-    return repr(float(v))
 
 
 def write_summary_csv(summaries, path) -> None:
@@ -216,5 +202,4 @@ def write_geojson_properties(summaries, path) -> None:
             else:
                 slot.setdefault(s.estimator, {})[str(s.time)] = fields
     with open(path, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _write_json(out, fh)

@@ -20,7 +20,6 @@ __all__ = [
     "AdjacencyGraph",
     "GraphStructureError",
     "load_adjacency",
-    "neighbor_mean",
     "car_pairwise_sum",
     "car_log_kernel",
 ]
@@ -137,12 +136,6 @@ class AdjacencyGraph:
                 np.nonzero(color == c)[0] for c in range(color.max() + 1)
             ]
         return self._coloring
-
-
-def neighbor_mean(graph: AdjacencyGraph, phi: np.ndarray, i: int) -> float:
-    """Arithmetic mean of ``phi`` over the neighbors of region ``i``."""
-    nbrs = graph.neighbors(i)
-    return float(np.mean(np.asarray(phi, dtype=float)[nbrs]))
 
 
 def car_pairwise_sum(graph: AdjacencyGraph, phi: np.ndarray) -> float:

@@ -1,20 +1,19 @@
 """Forecast evaluation for dynamic fits: PMSE, CRPS, and hold-out coverage.
 
 One-step-ahead predictive risk draws extend each retained posterior draw by
-one AR(1) innovation. CRPS uses the exact pairwise empirical estimator
-(draws capped at 2,000 by thinning); PMSE compares posterior-predictive
+one AR(1) innovation. CRPS is the exact empirical estimator over every
+draw, computed from the sorted draws; PMSE compares posterior-predictive
 means to the observed raw risks of the held-out slice.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import MIN_DRAWS
-from .model import Dataset, apply_link, internal_standardization
+from .estimators import MIN_DRAWS, _cg_risk
+from .model import Dataset, _eta, _write_json, apply_link, internal_standardization
 from .sampler import PosteriorSamples
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "observed_raw_risks",
     "write_forecast_report",
 ]
-
-CRPS_MAX_DRAWS = 2_000
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,7 @@ def forecast_risks(samples: PosteriorSamples, dataset: Dataset,
 
     x_new = dataset.x[:, t_new, :]
     n_new = dataset.n[:, t_new]
-    eta = samples.beta @ x_new.T + samples.phi + alpha_new[:, None]
+    eta = _eta(samples.beta @ x_new.T, samples.phi, alpha_new[:, None])
 
     if samples.spec.family == "is":
         if estimator != "r_is":
@@ -86,12 +83,9 @@ def forecast_risks(samples: PosteriorSamples, dataset: Dataset,
     if estimator not in ("r_cg", "r_cg_tilde"):
         raise TypeError(f"estimator {estimator!r} needs an IS fit")
     p = apply_link(samples.spec.link, eta, samples.spec.c0)
-    if estimator == "r_cg":
-        pbar = (p @ n_new) / n_new.sum()
-        return p / pbar[:, None]
-    holdout = dataset.time_slice(t_new)
-    E_new = internal_standardization(holdout)
-    return p * (n_new / E_new)[None, :]
+    E_new = (internal_standardization(dataset.time_slice(t_new))
+             if estimator == "r_cg_tilde" else None)
+    return _cg_risk(estimator, p, n_new, E_new)
 
 
 def observed_raw_risks(dataset: Dataset, t: int) -> np.ndarray:
@@ -103,19 +97,20 @@ def observed_raw_risks(dataset: Dataset, t: int) -> np.ndarray:
 def crps_empirical(draws, observed: float) -> float:
     """Empirical CRPS: mean|x - y| - pairwise mean|x - x'| / 2.
 
-    Exact over all draw pairs; inputs longer than 2,000 draws are thinned
-    first. Nonnegative, and zero exactly when every draw equals the
+    Exact over all D draws in O(D log D): with the draws sorted, the
+    pairwise half-mean is sum_i (2i - D - 1) x_(i) / D^2. The draws are
+    centred on the smallest first, so a degenerate forecast scores exactly
+    zero. Nonnegative, and zero exactly when every draw equals the
     observation.
     """
     draws = np.asarray(draws, dtype=float).ravel()
     if draws.size == 0:
         raise ValueError("CRPS needs at least one draw")
-    if draws.size > CRPS_MAX_DRAWS:
-        step = int(np.ceil(draws.size / CRPS_MAX_DRAWS))
-        draws = draws[::step]
+    x = np.sort(draws)
+    D = x.size
     term1 = float(np.mean(np.abs(draws - observed)))
-    term2 = float(np.mean(np.abs(draws[:, None] - draws[None, :])))
-    return term1 - 0.5 * term2
+    weights = 2.0 * np.arange(1, D + 1) - D - 1
+    return term1 - float(weights @ (x - x[0])) / D**2
 
 
 def evaluate_holdout(predicted, observed, level: float = 0.90,
@@ -157,5 +152,4 @@ def evaluate_holdout(predicted, observed, level: float = 0.90,
 
 def write_forecast_report(report: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _write_json(report, fh)

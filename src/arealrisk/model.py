@@ -6,14 +6,16 @@ computed from the pooled observed rate; the coherent generative (CG) family
 models incidence directly through a choice of logit, complementary log-log,
 or skewed-logit link. Both reduce to sums of independent Poisson log-pmfs,
 kept with their normalizing constants so values are comparable across
-families.
+families. The linear predictor and the per-cell Poisson terms are defined
+here once, for the sampler, the estimators and forecasting alike, as is the
+way every artifact writes floats and JSON.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import csv
+import json
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, gammaln
@@ -26,7 +28,6 @@ __all__ = [
     "apply_link",
     "log_likelihood_cg",
     "log_likelihood_is",
-    "linear_predictor",
 ]
 
 LINKS = ("logit", "cloglog", "skewed_logit")
@@ -35,6 +36,9 @@ TEMPORAL_MODES = ("static", "dynamic_ar1")
 
 # probabilities are clamped away from {0,1} so Poisson means stay positive
 PROB_EPS = 1e-12
+
+# log IS means above this would overflow exp()
+_ETA_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -230,18 +234,44 @@ def apply_link(link: str, eta, c0: float | None = None) -> np.ndarray:
     return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
 
 
-def _eta(dataset: Dataset, beta, phi, alpha=None) -> np.ndarray:
+def _eta(xb, phi, alpha=None):
+    """The linear predictor ((x'beta) + phi) + alpha, for one state or a batch.
+
+    One state: ``xb`` = x @ beta is (I,) or, for a panel, (I, T); ``phi`` is
+    (I,) and ``alpha`` is (T,), one slice's scalar, or None. A batch of D
+    draws at one slice: ``xb`` = beta @ x_t.T is (D, I), ``phi`` (D, I) and
+    ``alpha`` (D, 1) or None.
+    """
+    eta = xb + (phi[:, None] if xb.ndim > phi.ndim else phi)
+    return eta if alpha is None else eta + alpha
+
+
+def _poisson_terms(y, n, eta, spec: ModelSpec, E=None):
+    """Per-cell Poisson log-likelihood terms without the log(Y!) constant.
+
+    CG: mean n * link^-1(eta); IS: mean E * exp(eta), with log means capped
+    at ``_ETA_MAX`` inside exp() so that a huge eta stays finite.
+    """
+    if spec.family == "cg":
+        p = apply_link(spec.link, eta, spec.c0)
+        mu = n * p
+        return y * np.log(mu) - mu
+    log_mu = np.log(E) + eta
+    return y * log_mu - np.exp(np.minimum(log_mu, _ETA_MAX))
+
+
+def _log_likelihood(dataset: Dataset, spec: ModelSpec, beta, phi, alpha=None,
+                    E=None) -> float:
+    """Summed Poisson terms plus the log(Y!) constants."""
     beta = np.asarray(beta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if dataset.is_dynamic:
-        eta = dataset.x @ beta + phi[:, None]
-        if alpha is not None:
-            eta = eta + np.asarray(alpha, dtype=float)[None, :]
-        return eta
-    eta = dataset.x @ beta + phi
     if alpha is not None:
-        raise ValueError("alpha supplied for a static dataset")
-    return eta
+        if not dataset.is_dynamic:
+            raise ValueError("alpha supplied for a static dataset")
+        alpha = np.asarray(alpha, dtype=float)
+    eta = _eta(dataset.x @ beta, phi, alpha)
+    terms = _poisson_terms(dataset.y, dataset.n, eta, spec, E)
+    return float(np.sum(terms - gammaln(dataset.y + 1.0)))
 
 
 def log_likelihood_cg(
@@ -252,9 +282,8 @@ def log_likelihood_cg(
     Y ~ Poisson(n * p) with link(p) = x'beta + phi (+ alpha_t in panels).
     Constants (log Y!) are retained.
     """
-    p = apply_link(link, _eta(dataset, beta, phi, alpha), c0)
-    mu = dataset.n * p
-    return float(np.sum(dataset.y * np.log(mu) - mu - gammaln(dataset.y + 1.0)))
+    return _log_likelihood(dataset, ModelSpec("cg", link=link, c0=c0), beta, phi,
+                           alpha)
 
 
 def log_likelihood_is(dataset: Dataset, E, beta, phi, alpha=None) -> float:
@@ -268,27 +297,22 @@ def log_likelihood_is(dataset: Dataset, E, beta, phi, alpha=None) -> float:
         raise ValueError(f"E has shape {E.shape}, expected {dataset.y.shape}")
     if np.any(E <= 0):
         raise ValueError("expected counts must be strictly positive")
-    eta = _eta(dataset, beta, phi, alpha)
-    log_mu = np.log(E) + eta
-    return float(
-        np.sum(dataset.y * log_mu - np.exp(log_mu) - gammaln(dataset.y + 1.0))
-    )
+    return _log_likelihood(dataset, ModelSpec("is"), beta, phi, alpha, E)
 
 
-def linear_predictor(dataset: Dataset, beta, phi, alpha, i: int, t: int | None = None):
-    """x_i'beta + phi_i (+ alpha_t for panel data)."""
-    beta = np.asarray(beta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if dataset.is_dynamic:
-        if t is None:
-            raise ValueError("panel dataset requires a time index")
-        out = float(dataset.x[i, t] @ beta + phi[i])
-        if alpha is not None:
-            out += float(np.asarray(alpha)[t])
-        return out
-    if alpha is not None:
-        raise ValueError("alpha supplied for a static dataset")
-    return float(dataset.x[i] @ beta + phi[i])
+def _fmt(v) -> str:
+    """A float as written in every artifact: its shortest round-trip repr."""
+    return repr(float(v))
+
+
+def _write_json(obj, fh) -> None:
+    """Write ``obj`` to an open text stream the way every JSON artifact holds it.
+
+    Indent 2, sorted keys, trailing newline. ``json.dump`` streams its chunks,
+    so a report over 10^4 regions never sits whole in memory as one string.
+    """
+    json.dump(obj, fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _coerce_time(value: str):

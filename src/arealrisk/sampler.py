@@ -15,18 +15,20 @@ freeze afterwards, preserving detailed balance for the retained draws.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
 
-from .graph import AdjacencyGraph, car_pairwise_sum
+from .graph import AdjacencyGraph, car_log_kernel, car_pairwise_sum
 from .model import (
     Dataset,
     ModelSpec,
-    apply_link,
+    _eta,
+    _fmt,
+    _poisson_terms,
+    _write_json,
     internal_standardization,
     log_likelihood_cg,
     log_likelihood_is,
@@ -34,7 +36,6 @@ from .model import (
 
 __all__ = [
     "SamplerConfig",
-    "ChainState",
     "PosteriorSamples",
     "run_chain",
     "joint_log_posterior",
@@ -55,9 +56,6 @@ logger = logging.getLogger(__name__)
 SHRINK_FACTOR = 0.8
 GROW_FACTOR = 1.25
 
-# linear predictors above this would overflow exp() in the IS mean
-_ETA_MAX = 700.0
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -73,7 +71,6 @@ class SamplerConfig:
     seed: int = 0
     adapt_window: int = 250
     target_acceptance: tuple = (0.15, 0.40)
-    adapt_only_during_burn_in: bool = True
 
     def __post_init__(self):
         if self.n_iterations <= 0 or self.burn_in < 0 or self.thin < 1:
@@ -143,16 +140,6 @@ class PosteriorSamples:
 # log-target pieces shared by the sweep code and the consistency checks
 
 
-def _poisson_terms(y, n, eta, spec: ModelSpec, E=None):
-    """Per-region Poisson log-likelihood terms without the log(Y!) constant."""
-    if spec.family == "cg":
-        p = apply_link(spec.link, eta, spec.c0)
-        mu = n * p
-        return y * np.log(mu) - mu
-    log_mu = np.log(E) + eta
-    return y * log_mu - np.exp(np.minimum(log_mu, _ETA_MAX))
-
-
 class _FitContext:
     """Precomputed arrays for one (dataset, graph, spec) fit."""
 
@@ -190,29 +177,20 @@ class _FitContext:
     def region_loglik(self, idx, phi_vals, xb, alpha=None):
         """Likelihood terms of regions ``idx`` with spatial effects ``phi_vals``."""
         E = None if self.E is None else self.E[idx]
-        if self.dataset.is_dynamic:
-            eta = xb[idx] + phi_vals[:, None] + alpha[None, :]
-            return _poisson_terms(self.y[idx], self.n[idx], eta,
-                                        self.spec, E).sum(axis=1)
-        eta = xb[idx] + phi_vals
-        return _poisson_terms(self.y[idx], self.n[idx], eta, self.spec, E)
+        eta = _eta(xb[idx], phi_vals, alpha)
+        terms = _poisson_terms(self.y[idx], self.n[idx], eta, self.spec, E)
+        return terms.sum(axis=1) if self.dataset.is_dynamic else terms
 
     def slice_loglik(self, t, beta_xb, phi, alpha_t):
         """Likelihood of time slice ``t`` (dynamic only)."""
-        eta = beta_xb[:, t] + phi + alpha_t
         E = None if self.E is None else self.E[:, t]
-        return float(
-            _poisson_terms(self.y[:, t], self.n[:, t], eta, self.spec, E).sum()
-        )
+        eta = _eta(beta_xb[:, t], phi, alpha_t)
+        return float(_poisson_terms(self.y[:, t], self.n[:, t], eta, self.spec,
+                                    E).sum())
 
     def total_loglik(self, beta, phi, alpha=None):
-        xb = self.xb(beta)
-        if self.dataset.is_dynamic:
-            eta = xb + phi[:, None] + alpha[None, :]
-        else:
-            eta = xb + phi
-        return float(_poisson_terms(self.y, self.n, eta, self.spec,
-                                          self.E).sum())
+        eta = _eta(self.xb(beta), phi, alpha)
+        return float(_poisson_terms(self.y, self.n, eta, self.spec, self.E).sum())
 
 
 def phi_log_target(dataset, graph, spec, beta, phi, tau, i, value,
@@ -262,26 +240,33 @@ def ar1_log_prior(alpha, rho, omega) -> float:
     return float(out)
 
 
+def _ar1_conditional(alpha, t, value, rho, omega) -> float:
+    """The AR(1) prior terms of alpha_t's full conditional at alpha_t = ``value``.
+
+    The terms of the stationary-start AR(1) density that involve alpha_t:
+    its own transition (or stationary start, at t = 0) and the next one.
+    """
+    out = 0.0
+    if t == 0:
+        out -= (1.0 - rho**2) * value**2 / (2.0 * omega)
+    else:
+        out -= (value - rho * alpha[t - 1]) ** 2 / (2.0 * omega)
+    if t + 1 < alpha.size:
+        out -= (alpha[t + 1] - rho * value) ** 2 / (2.0 * omega)
+    return out
+
+
 def alpha_log_target(dataset, spec, beta, phi, alpha, rho, omega, t, value,
                      E=None) -> float:
     """Log full-conditional of one temporal effect, up to a constant.
 
     AR(1) terms involving alpha_t plus the likelihood of time slice t.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    T = alpha.size
-    prior = 0.0
-    if t == 0:
-        prior -= (1.0 - rho**2) * value**2 / (2.0 * omega)
-        if T > 1:
-            prior -= (alpha[1] - rho * value) ** 2 / (2.0 * omega)
-    else:
-        prior -= (value - rho * alpha[t - 1]) ** 2 / (2.0 * omega)
-        if t + 1 < T:
-            prior -= (alpha[t + 1] - rho * value) ** 2 / (2.0 * omega)
+    prior = _ar1_conditional(np.asarray(alpha, dtype=float), t, value, rho, omega)
     if spec.family == "is" and E is None:
         E = internal_standardization(dataset)
-    eta = dataset.x[:, t, :] @ np.asarray(beta, float) + np.asarray(phi, float) + value
+    eta = _eta(dataset.x[:, t, :] @ np.asarray(beta, float), np.asarray(phi, float),
+               value)
     E_t = None if E is None else np.asarray(E, float)[:, t]
     lik = _poisson_terms(dataset.y[:, t], dataset.n[:, t], eta, spec, E_t).sum()
     return float(prior + lik)
@@ -315,16 +300,9 @@ def joint_log_posterior(dataset, graph, spec, beta, phi, tau,
     + flat prior on beta; dynamic fits add the AR(1) density of alpha and
     the omega^{-1} prior with a flat prior on rho over (-1, 1).
     """
-    from .graph import car_log_kernel
-
     a, b = spec.tau_prior
-    if spec.family == "is":
-        if E is None:
-            E = internal_standardization(dataset)
-        ll = log_likelihood_is(dataset, E, beta, phi, alpha)
-    else:
-        ll = log_likelihood_cg(dataset, beta, phi, spec.link, spec.c0, alpha)
-    out = ll + car_log_kernel(graph, phi, tau)
+    out = beta_log_target(dataset, spec, beta, phi, alpha, E)
+    out += car_log_kernel(graph, phi, tau)
     out += a * np.log(b) - gammaln(a) + (a - 1.0) * np.log(tau) - b * tau
     if spec.is_dynamic:
         if alpha is None or rho is None or omega is None:
@@ -458,30 +436,16 @@ class _ChainRunner:
         ctx = self.ctx
         xb = ctx.xb(st.beta)
         rho, omega = st.rho, st.omega
-        T = self.T
-        for t in range(T):
+        for t in range(self.T):
             cur = st.alpha[t]
             prop = cur + st.proposal_scales["alpha"][t] * self.rng.standard_normal()
-
-            def prior_terms(v):
-                out = 0.0
-                if t == 0:
-                    out -= (1.0 - rho**2) * v**2 / (2.0 * omega)
-                    if T > 1:
-                        out -= (st.alpha[1] - rho * v) ** 2 / (2.0 * omega)
-                else:
-                    out -= (v - rho * st.alpha[t - 1]) ** 2 / (2.0 * omega)
-                    if t + 1 < T:
-                        out -= (st.alpha[t + 1] - rho * v) ** 2 / (2.0 * omega)
-                return out
-
+            d_prior = (_ar1_conditional(st.alpha, t, prop, rho, omega)
+                       - _ar1_conditional(st.alpha, t, cur, rho, omega))
             d_lik = ctx.slice_loglik(t, xb, st.phi, prop) - ctx.slice_loglik(
                 t, xb, st.phi, cur
             )
             delta = float(
-                self._finite_or_reject(
-                    np.array([prior_terms(prop) - prior_terms(cur) + d_lik]), "alpha"
-                )[0]
+                self._finite_or_reject(np.array([d_prior + d_lik]), "alpha")[0]
             )
             if np.log(self.rng.random()) < delta:
                 st.alpha[t] = prop
@@ -547,8 +511,7 @@ class _ChainRunner:
             in_burn_in = it <= cfg.burn_in
             if not in_burn_in:
                 self._accumulate_post()
-            can_adapt = in_burn_in or not cfg.adapt_only_during_burn_in
-            if can_adapt and it % cfg.adapt_window == 0:
+            if in_burn_in and it % cfg.adapt_window == 0:
                 for name, scales in st.proposal_scales.items():
                     adapt_scales(
                         scales,
@@ -619,10 +582,6 @@ def run_chain(dataset: Dataset, graph: AdjacencyGraph, spec: ModelSpec,
 # artifact writers
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def parameter_names(samples: PosteriorSamples) -> list:
     names = [f"beta[{j}]" for j in range(samples.beta.shape[1])]
     names += [f"phi[{r}]" for r in samples.region_ids]
@@ -668,5 +627,4 @@ def write_metadata_json(samples: PosteriorSamples, path) -> None:
         "n_nonfinite_events": samples.n_nonfinite_events,
     }
     with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _write_json(meta, fh)

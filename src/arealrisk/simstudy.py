@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .estimators import risk_cg_tilde, risk_cg_true, risk_is, summarize
 from .graph import AdjacencyGraph
-from .model import Dataset, internal_standardization
+from .model import Dataset, _fmt, internal_standardization
 from .sampler import SamplerConfig, run_chain
 from .seeding import derive_rng, derive_seed
 
@@ -36,7 +36,6 @@ __all__ = [
     "interval_comparisons",
     "lattice_graph",
     "synthetic_populations",
-    "write_study_report",
     "write_matrix_csv",
 ]
 
@@ -214,15 +213,7 @@ def _replicate_task(args):
     acc_ranges = {}
     for spec in specs:
         fit_seed = derive_seed(master_seed, "fit", b, spec.family, spec.link)
-        cfg = SamplerConfig(
-            n_iterations=config.n_iterations,
-            burn_in=config.burn_in,
-            thin=config.thin,
-            seed=fit_seed,
-            adapt_window=config.adapt_window,
-            target_acceptance=config.target_acceptance,
-            adapt_only_during_burn_in=config.adapt_only_during_burn_in,
-        )
+        cfg = replace(config, seed=fit_seed)
         try:
             fit_out, acc = fit_fn(dataset, graph, spec, cfg, truth, level)
         except Exception as exc:  # recorded, never silently dropped
@@ -396,14 +387,6 @@ def study_report(result: StudyResult) -> dict:
     return report
 
 
-def write_study_report(result: StudyResult, path) -> None:
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(study_report(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def write_matrix_csv(result: StudyResult, which: str, path) -> None:
     """Write coverage or length matrices in long form.
 
@@ -422,5 +405,5 @@ def write_matrix_csv(result: StudyResult, which: str, path) -> None:
             for b in range(mat.shape[0]):
                 for i, region in enumerate(ids):
                     v = mat[b, i]
-                    val = str(int(v)) if which == "coverage" else repr(float(v))
+                    val = str(int(v)) if which == "coverage" else _fmt(v)
                     fh.write(f"{b},{region},{tag},{val}\n")

@@ -112,6 +112,9 @@ class TestFit:
         cfg = json.loads(capsys.readouterr().out)
         assert cfg["subcommand"] == "fit"
         assert cfg["iterations"] == 25000
+        assert cfg["link"] == "logit"
+        assert cfg["seed"] == 0
+        assert "func" not in cfg and "print_config" not in cfg
 
 
 class TestStudy:
@@ -163,16 +166,23 @@ class TestStudy:
         assert report["population_scale"] == 0.1
 
     def test_deterministic(self, tmp_path):
+        # the artifacts do not depend on the number of worker processes
         outs = []
-        for sub in ("a", "b"):
-            out = tmp_path / sub
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
             rc = run_cli("study", "--replicates", 2, "--iterations", 300,
-                         "--burn-in", 100, "--seed", 8, "--jobs", 2,
+                         "--burn-in", 100, "--seed", 8, "--jobs", jobs,
                          "--out", out)
             assert rc == 0
             outs.append(out)
         for name in ("study_report.json", "coverage.csv", "lengths.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_print_config_keeps_jobs(self, tmp_path, capsys):
+        # the report leaves jobs out (see test_deterministic); print-config not
+        rc = run_cli("study", "--jobs", 3, "--print-config", "--out", tmp_path)
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["run"]["jobs"] == "3"
 
 
 @pytest.fixture(scope="module")
@@ -285,3 +295,20 @@ class TestSeedFallback:
         assert rc == 0
         assert (out_env / "dataset.csv").read_bytes() == \
             (lattice_files / "dataset.csv").read_bytes()
+
+    def test_env_seed_used_by_study(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setenv("AREALRISK_SEED", "11")
+        rc = run_cli("study", "--print-config", "--out", tmp_path)
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["run"]["seed"] == "11"
+
+    @pytest.mark.parametrize("value", ["abc", ""])
+    @pytest.mark.parametrize("argv", [["study"], ["study", "--print-config"],
+                                      ["simulate", "--print-config"]])
+    def test_bad_env_seed_rejected(self, argv, value, monkeypatch, capsys,
+                                   tmp_path):
+        monkeypatch.setenv("AREALRISK_SEED", value)
+        rc = run_cli(*argv, "--out", tmp_path)
+        assert rc != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == f"AREALRISK_SEED must be an integer, got {value!r}"

@@ -6,7 +6,6 @@ from arealrisk.estimators import (
     risk_cg_tilde,
     risk_cg_true,
     risk_is,
-    shrinkage_data,
     summarize,
     write_geojson_properties,
     write_summary_csv,
@@ -214,18 +213,6 @@ class TestSummarize:
 
 
 class TestShrinkage:
-    def test_identical_vectors_no_shrinkage(self):
-        mat = np.tile([1.0, 2.0], (150, 1))
-        s = summarize(mat, ["A", "B"], "r_is")
-        pairs = shrinkage_data(s, np.array([1.0, 2.0]))
-        assert pairs[:, 0] == pytest.approx(pairs[:, 1])
-
-    def test_not_conformable(self):
-        mat = np.ones((150, 2))
-        s = summarize(mat, ["A", "B"], "r_is")
-        with pytest.raises(ValueError):
-            shrinkage_data(s, np.ones(3))
-
     def test_extreme_regions_shrink_on_fitted_replicate(self):
         # end-to-end: the spatial fit pulls extreme raw rates toward the mean
         from arealrisk.sampler import run_chain
@@ -242,11 +229,10 @@ class TestShrinkage:
                             adapt_window=200)
         samples = run_chain(data, graph, ModelSpec("cg"), cfg)
         s = summarize(risk_cg_true(samples, data), data.region_ids, "r_cg")
-        pairs = shrinkage_data(s, raw)
         center = raw.mean()
         extremes = np.argsort(np.abs(raw - center))[::-1][:5]
         for i in extremes:
-            assert abs(pairs[i, 1] - center) < abs(pairs[i, 0] - center)
+            assert abs(s.mean[i] - center) < abs(raw[i] - center)
 
 
 class TestWriters:

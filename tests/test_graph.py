@@ -9,7 +9,6 @@ from arealrisk.graph import (
     car_log_kernel,
     car_pairwise_sum,
     load_adjacency,
-    neighbor_mean,
 )
 
 
@@ -100,21 +99,6 @@ class TestConstruction:
             g = AdjacencyGraph(["A", "B", "C", "D"], [(0, 1), (2, 3)])
         assert g.n_components == 2
         assert any("components" in str(w.message) for w in caught)
-
-
-class TestNeighborMean:
-    def test_path_middle(self):
-        g = path_graph()
-        assert neighbor_mean(g, np.array([1.0, 0.0, 3.0]), 1) == 2.0
-
-    def test_constant(self):
-        g = cycle_graph(5)
-        assert neighbor_mean(g, np.full(5, 0.7), 3) == pytest.approx(0.7)
-
-    def test_four_cycle(self):
-        g = cycle_graph(4)
-        # region 0 neighbors regions 1 and 3
-        assert neighbor_mean(g, np.array([1.0, 2.0, 3.0, 4.0]), 0) == 3.0
 
 
 class TestPairwiseSum:

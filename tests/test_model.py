@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
 from scipy.stats import poisson
 
+from arealrisk.estimators import _slice_eta
 from arealrisk.model import (
     Dataset,
     ModelSpec,
+    _eta,
+    _poisson_terms,
     apply_link,
     internal_standardization,
-    linear_predictor,
     load_dataset,
     log_likelihood_cg,
     log_likelihood_is,
 )
+from tests.test_estimators import make_samples
 
 
 def static_dataset(y, n, x=None):
@@ -204,20 +210,59 @@ class TestLikelihoods:
         got = log_likelihood_cg(d, beta, phi, "logit", alpha=alpha)
         assert got == pytest.approx(oracle, rel=1e-9)
 
+    def test_is_guard_keeps_huge_eta_finite(self):
+        # exp(eta) overflows above ~709; the likelihood uses the sampler's
+        # capped terms, so it stays finite and equals their sum
+        d = static_dataset([3, 0, 5], [10.0, 20.0, 30.0])
+        E = internal_standardization(d)
+        beta, phi = np.array([705.0]), np.array([2.0, 0.0, -1.0])
+        got = log_likelihood_is(d, E, beta, phi)
+        terms = _poisson_terms(d.y, d.n, _eta(d.x @ beta, phi), ModelSpec("is"), E)
+        assert np.isfinite(got)
+        assert got == np.sum(terms - gammaln(d.y + 1.0))
+
 
 class TestLinearPredictor:
     def test_static(self):
         d = static_dataset([1, 1], [5.0, 5.0])
-        assert linear_predictor(d, [0.3], [-0.1, 0.0], None, 0) == pytest.approx(0.2)
+        eta = _eta(d.x @ np.array([0.3]), np.array([-0.1, 0.0]))
+        assert eta[0] == pytest.approx(0.2)
 
     def test_dynamic_adds_alpha(self):
         d = Dataset(["a"], [[1, 1]], [[5.0, 5.0]], np.ones((1, 2, 1)), times=(1, 2))
-        val = linear_predictor(d, [0.3], [-0.1], [0.0, 0.05], 0, t=1)
-        assert val == pytest.approx(0.25)
+        eta = _eta(d.x @ np.array([0.3]), np.array([-0.1]), np.array([0.0, 0.05]))
+        assert eta[0, 1] == pytest.approx(0.25)
 
     def test_all_zero(self):
         d = static_dataset([1], [5.0])
-        assert linear_predictor(d, [0.0], [0.0], None, 0) == 0.0
+        assert _eta(d.x @ np.zeros(1), np.zeros(1))[0] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 3), panel=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batch_rows_match_single_state(self, k, panel, seed):
+        # row d of the draws' eta is the one-state eta of (beta_d, phi_d, alpha_d)
+        rng = np.random.default_rng(seed)
+        I, T, D = 4, 3, 5
+        ids = [f"r{i}" for i in range(I)]
+        shape = (I, T) if panel else (I,)
+        x = np.concatenate([np.ones(shape + (1,)),
+                            rng.normal(size=shape + (k - 1,))], axis=-1)
+        d = Dataset(ids, np.ones(shape, dtype=int), np.ones(shape), x,
+                    times=tuple(range(T)) if panel else None)
+        beta = rng.normal(size=(D, k))
+        phi = rng.normal(size=(D, I))
+        alpha = rng.normal(size=(D, T)) if panel else None
+        temporal = "dynamic_ar1" if panel else "static"
+        s = make_samples(ModelSpec("is", temporal=temporal), beta, phi, ids,
+                         alpha=alpha, times=d.times)
+        for t in range(T) if panel else [None]:
+            batch = _slice_eta(s, d, t)
+            for row in range(D):
+                one = _eta(d.x @ beta[row], phi[row],
+                           None if alpha is None else alpha[row])
+                np.testing.assert_allclose(batch[row], one if t is None else one[:, t],
+                                           rtol=1e-14, atol=1e-14)
 
 
 class TestLoader:
