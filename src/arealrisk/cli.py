@@ -200,12 +200,22 @@ def _graph_and_populations(args, seed):
 
 
 def _load_populations(path, graph) -> np.ndarray:
+    values = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = [c.strip().lower() for c in next(reader)]
+        header = [c.strip().lower() for c in next(reader, [])]
         if header[:2] != ["region", "n"]:
             raise CommandError(f"{path}: populations header must be region,n")
-        values = {row[0].strip(): float(row[1]) for row in reader if row}
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}, line {reader.line_num}"
+            if len(row) < 2:
+                raise CommandError(f"{where}: expected region,n; got {row!r}")
+            try:
+                values[row[0].strip()] = float(row[1])
+            except ValueError as exc:
+                raise CommandError(f"{where}: {exc}") from None
     missing = [r for r in graph.region_ids if r not in values]
     if missing:
         raise CommandError(f"{path}: missing populations for {missing[:5]}")

@@ -231,7 +231,7 @@ def apply_link(link: str, eta, c0: float | None = None) -> np.ndarray:
         p = expit(eta + np.log(c0))
     else:
         raise ValueError(f"unknown link {link!r}")
-    return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+    return p.clip(PROB_EPS, 1.0 - PROB_EPS)  # the method skips np.clip's wrapper
 
 
 def _eta(xb, phi, alpha=None):
@@ -334,8 +334,9 @@ def load_dataset(path) -> Dataset:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = [c.strip().lower() for c in next(reader)]
-        rows = [row for row in reader if row and any(c.strip() for c in row)]
+        header = [c.strip().lower() for c in next(reader, [])]
+        rows = [(reader.line_num, row) for row in reader
+                if row and any(c.strip() for c in row)]
 
     has_year = "year" in header
     expected = ["region"] + (["year"] if has_year else []) + ["y", "n"]
@@ -347,17 +348,23 @@ def load_dataset(path) -> Dataset:
     k = len(x_names)
 
     records = []
-    for row in rows:
+    for line, row in rows:
         row = [c.strip() for c in row]
         if len(row) != len(header):
-            raise ValueError(f"{path}: row has {len(row)} fields, expected {len(header)}")
+            raise ValueError(
+                f"{path}, line {line}: row has {len(row)} fields, "
+                f"expected {len(header)}"
+            )
         region = row[0]
         off = 1
         year = _coerce_time(row[off]) if has_year else None
         off += int(has_year)
-        y = int(row[off])
-        n = float(row[off + 1])
-        xs = [float(v) for v in row[off + 2 :]]
+        try:
+            y = int(row[off])
+            n = float(row[off + 1])
+            xs = [float(v) for v in row[off + 2 :]]
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line}: {exc}") from None
         records.append((region, year, y, n, xs))
 
     region_order: list[str] = []

@@ -312,3 +312,54 @@ class TestSeedFallback:
         assert rc != 0
         err = json.loads(capsys.readouterr().err)
         assert err["message"] == f"AREALRISK_SEED must be an integer, got {value!r}"
+
+
+class TestMalformedCsv:
+    """Malformed input exits through the JSON error path, naming file and line."""
+
+    @pytest.mark.parametrize("row, message", [
+        ("r1,x,100", "invalid literal for int()"),
+        ("r1,12", "row has 2 fields, expected 3"),
+    ])
+    def test_dataset_row(self, lattice_files, tmp_path, capsys, row, message):
+        lines = (lattice_files / "dataset.csv").read_text().splitlines()
+        lines[3] = row
+        data = tmp_path / "bad_dataset.csv"
+        data.write_text("\n".join(lines) + "\n")
+        rc = run_cli("fit", "--data", data,
+                     "--adjacency", lattice_files / "adjacency.csv",
+                     "--family", "cg", *FAST, "--out", tmp_path / "fit")
+        assert rc != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{data}, line 4: ")
+        assert message in err["message"]
+
+    @pytest.mark.parametrize("row, message", [
+        ("r1,abc", "could not convert string to float"),
+        ("r1", "expected region,n"),
+    ])
+    def test_populations_row(self, lattice_files, tmp_path, capsys, row,
+                             message):
+        pops = tmp_path / "bad_populations.csv"
+        pops.write_text("region,n\nr0,1000\n" + row + "\n")
+        rc = run_cli("simulate", "--adjacency", lattice_files / "adjacency.csv",
+                     "--populations", pops, "--out", tmp_path / "sim")
+        assert rc != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CommandError"
+        assert err["message"].startswith(f"{pops}, line 3: ")
+        assert message in err["message"]
+
+    def test_empty_files(self, lattice_files, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        rc = run_cli("fit", "--data", empty,
+                     "--adjacency", lattice_files / "adjacency.csv",
+                     "--family", "cg", *FAST, "--out", tmp_path / "fit")
+        assert rc != 0
+        assert "header must start with" in json.loads(capsys.readouterr().err)["message"]
+        rc = run_cli("simulate", "--adjacency", lattice_files / "adjacency.csv",
+                     "--populations", empty, "--out", tmp_path / "sim")
+        assert rc != 0
+        assert "header must be region,n" in json.loads(capsys.readouterr().err)["message"]

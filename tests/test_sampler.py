@@ -1,12 +1,25 @@
+import dataclasses
+import itertools
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import integrate
 from scipy.stats import invgamma
 
 from arealrisk.graph import AdjacencyGraph
-from arealrisk.model import Dataset, ModelSpec, internal_standardization
+from arealrisk.model import (
+    Dataset,
+    ModelSpec,
+    _eta,
+    _poisson_terms,
+    internal_standardization,
+)
 from arealrisk.sampler import (
     SamplerConfig,
+    _ChainRunner,
     adapt_scales,
     alpha_log_target,
     ar1_log_prior,
@@ -400,6 +413,101 @@ class TestRunChain:
             rates = rates[np.isfinite(rates)]
             assert np.all(rates >= 0.15 - 1e-12), (name, rates)
             assert np.all(rates <= 0.40 + 1e-12), (name, rates)
+
+
+def covariate_problem(rng, k, T=None, I=6):
+    """A path graph with one chord (three colour classes) and k covariates."""
+    graph = AdjacencyGraph([f"g{i}" for i in range(I)],
+                           [(i, i + 1) for i in range(I - 1)] + [(0, 2)])
+    shape = (I,) if T is None else (I, T)
+    y = rng.integers(0, 21, size=shape)
+    n = rng.uniform(20.0, 300.0, size=shape)
+    x = np.ones(shape + (k,))
+    x[..., 1:] = rng.normal(size=shape + (k - 1,))
+    times = None if T is None else tuple(range(T))
+    return graph, Dataset(graph.region_ids, y, n, x, times)
+
+
+class TestLikelihoodCache:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), spec=hst.sampled_from(SPECS_STATIC),
+           dynamic=hst.booleans(), k=hst.integers(1, 2))
+    def test_cache_matches_fresh_terms_after_every_sweep(self, seed, spec,
+                                                         dynamic, k):
+        rng = np.random.default_rng(seed)
+        graph, data = covariate_problem(rng, k, T=4 if dynamic else None)
+        if dynamic:
+            spec = dataclasses.replace(spec, temporal="dynamic_ar1")
+        runner = _ChainRunner(data, graph, spec, quick_config(seed=seed % 997))
+        ctx, st = runner.ctx, runner.state
+        for _ in range(6):
+            runner.sweep()
+            xb = ctx.x @ st.beta
+            fresh = _poisson_terms(ctx.y, ctx.n, _eta(xb, st.phi, st.alpha), spec,
+                                   ctx.E)
+            assert np.array_equal(runner.xb, xb)
+            assert np.array_equal(runner.terms, fresh)
+
+
+class TestNonFinite:
+    def dynamic_runner(self):
+        graph, data = covariate_problem(np.random.default_rng(36), k=2, T=4)
+        spec = ModelSpec("cg", temporal="dynamic_ar1")
+        return _ChainRunner(data, graph, spec, quick_config(n_iterations=40,
+                                                            burn_in=20))
+
+    def poison(self, runner, block, bad):
+        """Make every proposal of ``block`` evaluate to a ``bad`` likelihood."""
+        ctx = runner.ctx
+        if block == "phi":
+            real = ctx.region_loglik
+            ctx.region_loglik = lambda *a: real(*a) + bad
+        elif block == "alpha":
+            real = ctx.slice_terms
+            ctx.slice_terms = lambda *a: real(*a) + bad
+        else:  # the first call of update_beta evaluates the current state
+            real, calls = ctx.terms, itertools.count()
+            ctx.terms = lambda *a: real(*a) + (bad if next(calls) else 0.0)
+
+    def test_array_deltas_rejected_and_counted(self):
+        runner = self.dynamic_runner()
+        out = runner._finite_or_reject(np.array([0.5, np.nan, np.inf, -np.inf]),
+                                       "phi")
+        assert np.array_equal(out, [0.5, -np.inf, -np.inf, -np.inf])
+        assert runner.nonfinite == {"phi": 2, "beta": 0, "alpha": 0, "rho": 0}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("block, update", [("phi", "update_phi_block"),
+                                               ("beta", "update_beta"),
+                                               ("alpha", "update_alpha")])
+    def test_proposals_rejected_and_counted(self, block, update, bad):
+        runner = self.dynamic_runner()
+        st = runner.state
+        before = getattr(st, block).copy()
+        self.poison(runner, block, bad)
+        getattr(runner, update)()
+        assert np.array_equal(getattr(st, block), before)
+        assert st.acceptance_counts[block].sum() == 0
+        n_proposals = st.proposal_counts[block].sum()
+        assert n_proposals == before.size
+        assert runner.nonfinite == {name: n_proposals if name == block else 0
+                                    for name in ("phi", "beta", "alpha", "rho")}
+
+    def test_one_warning_per_block_at_end_of_chain(self, caplog):
+        runner = self.dynamic_runner()
+        self.poison(runner, "phi", np.nan)
+        self.poison(runner, "alpha", np.inf)
+        with caplog.at_level(logging.WARNING, logger="arealrisk.sampler"):
+            samples = runner.run()
+        I, T, sweeps = runner.I, runner.T, runner.config.n_iterations
+        assert samples.n_nonfinite_events == (I + T) * sweeps
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == [
+            f"{I * sweeps} non-finite Metropolis target(s) in block 'phi'; "
+            "those proposals were rejected",
+            f"{T * sweeps} non-finite Metropolis target(s) in block 'alpha'; "
+            "those proposals were rejected",
+        ]
 
 
 class TestCalibration:
