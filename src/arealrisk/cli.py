@@ -21,9 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import (
-    risk_cg_tilde,
-    risk_cg_true,
-    risk_is,
+    _check_level,
+    _risk_draws,
     summarize,
     write_geojson_properties,
     write_summary_csv,
@@ -40,7 +39,6 @@ from .model import (
     ModelSpec,
     _fmt,
     _write_json,
-    internal_standardization,
     load_dataset,
 )
 from .sampler import SamplerConfig, run_chain, write_draws_csv, write_metadata_json
@@ -129,31 +127,13 @@ def _spec_from_args(args, family: str, temporal: str) -> ModelSpec:
     return ModelSpec("cg", link=args.link, c0=args.c0, temporal=temporal)
 
 
-def _fit_summaries(samples, dataset, level):
-    """Risk summaries for every estimator a fit provides, per time slice."""
-    out = []
-    times = [None] if not dataset.is_dynamic else list(range(dataset.n_times))
-    E = internal_standardization(dataset) if samples.spec.family == "cg" else None
-    for t in times:
-        label = None if t is None else dataset.times[t]
-        if samples.spec.family == "is":
-            out.append(summarize(risk_is(samples, dataset, t),
-                                 dataset.region_ids, "r_is", level, time=label))
-        else:
-            out.append(summarize(risk_cg_tilde(samples, dataset, E, t),
-                                 dataset.region_ids, "r_cg_tilde", level,
-                                 time=label))
-            out.append(summarize(risk_cg_true(samples, dataset, t),
-                                 dataset.region_ids, "r_cg", level, time=label))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # fit
 
 
 def cmd_fit(args) -> int:
     seed = _resolve_seed(args)
+    _check_level(args.level)
     dataset = load_dataset(args.data)
     graph = load_adjacency(args.adjacency, region_ids=dataset.region_ids)
     temporal = "dynamic_ar1" if dataset.is_dynamic else "static"
@@ -161,8 +141,11 @@ def cmd_fit(args) -> int:
     config = _sampler_config(args, derive_seed(seed, "fit", spec.family, spec.link))
 
     samples = run_chain(dataset, graph, spec, config)
-    summaries = _fit_summaries(samples, dataset.reindex(samples.region_ids),
-                               args.level)
+    dataset = dataset.reindex(samples.region_ids)
+    slices = enumerate(dataset.times) if dataset.is_dynamic else [(None, None)]
+    summaries = [summarize(draws, dataset.region_ids, tag, args.level, time=label)
+                 for t, label in slices
+                 for tag, draws in _risk_draws(samples, dataset, t).items()]
 
     out = _out_dir(args)
     write_summary_csv(summaries, out / "summary.csv")
@@ -177,12 +160,12 @@ def cmd_fit(args) -> int:
 # simulate
 
 
-def _truth_from_args(args, graph, populations):
-    hubs = tuple(args.hubs.split(",")) if args.hubs else None
-    bumps = tuple(float(v) for v in args.hub_bumps.split(","))
-    recipe = TruthRecipe(baseline=args.baseline, hub_bumps=bumps,
-                         neighbor_bump=args.neighbor_bump, hubs=hubs)
-    return build_truth(graph, populations, recipe)
+def _truth_recipe(baseline, hub_bumps, neighbor_bump, hubs) -> TruthRecipe:
+    """The truth recipe from comma-separated hub bumps and hub ids."""
+    hub_ids = tuple(h.strip() for h in (hubs or "").split(",") if h.strip())
+    return TruthRecipe(baseline=float(baseline),
+                       hub_bumps=tuple(float(v) for v in hub_bumps.split(",")),
+                       neighbor_bump=float(neighbor_bump), hubs=hub_ids or None)
 
 
 def _graph_and_populations(args, seed):
@@ -212,10 +195,16 @@ def _load_populations(path, graph) -> np.ndarray:
             where = f"{path}, line {reader.line_num}"
             if len(row) < 2:
                 raise CommandError(f"{where}: expected region,n; got {row!r}")
+            region = row[0].strip()
+            if region in values:
+                raise CommandError(f"{where}: repeated region {region!r}")
             try:
-                values[row[0].strip()] = float(row[1])
+                values[region] = float(row[1])
             except ValueError as exc:
                 raise CommandError(f"{where}: {exc}") from None
+            if not 0.0 < values[region] < np.inf:
+                raise CommandError(f"{where}: population must be positive and "
+                                   f"finite, got {values[region]}")
     missing = [r for r in graph.region_ids if r not in values]
     if missing:
         raise CommandError(f"{path}: missing populations for {missing[:5]}")
@@ -232,7 +221,9 @@ def _write_adjacency_csv(graph, path) -> None:
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     graph, pops = _graph_and_populations(args, seed)
-    truth = _truth_from_args(args, graph, pops)
+    recipe = _truth_recipe(args.baseline, args.hub_bumps, args.neighbor_bump,
+                           args.hubs)
+    truth = build_truth(graph, pops, recipe)
     dataset = simulate_counts(truth, seed=derive_seed(seed, "replicate", 0))
 
     out = _out_dir(args)
@@ -306,6 +297,7 @@ def cmd_study(args) -> int:
     # whatever the number of worker processes
     jobs = int(cfg["run"].pop("jobs"))
     level = float(cfg["study"]["level"])
+    _check_level(level)
     links = [s.strip() for s in cfg["study"]["links"].split(",") if s.strip()]
     for link in links:
         if link not in LINKS:
@@ -333,13 +325,9 @@ def cmd_study(args) -> int:
             scale=scale,
         )
 
-    hubs = tuple(h.strip() for h in cfg["truth"]["hubs"].split(",") if h.strip())
-    recipe = TruthRecipe(
-        baseline=float(cfg["truth"]["baseline"]),
-        hub_bumps=tuple(float(v) for v in cfg["truth"]["hub_bumps"].split(",")),
-        neighbor_bump=float(cfg["truth"]["neighbor_bump"]),
-        hubs=hubs or None,
-    )
+    t = cfg["truth"]
+    recipe = _truth_recipe(t["baseline"], t["hub_bumps"], t["neighbor_bump"],
+                           t["hubs"])
     truth = build_truth(graph, pops, recipe)
     band = tuple(float(v) for v in cfg["sampler"]["target_acceptance"].split(","))
     sampler_config = SamplerConfig(
@@ -385,6 +373,7 @@ def cmd_study(args) -> int:
 
 def cmd_forecast(args) -> int:
     seed = _resolve_seed(args)
+    _check_level(args.level)
     panel = load_dataset(args.data)
     if not panel.is_dynamic:
         raise CommandError("forecast requires a panel dataset with a year column")
@@ -421,15 +410,13 @@ def cmd_forecast(args) -> int:
         dyn = run_chain(fit_panel, graph, dyn_spec, dyn_cfg)
         sta = run_chain(last_fitted, graph, sta_spec, sta_cfg)
 
-        dyn_summ = {s.estimator: s for s in _fit_summaries(dyn, fit_panel, args.level)
-                    if s.time == fit_panel.times[-1]}
-        sta_summ = {s.estimator: s
-                    for s in _fit_summaries(sta, last_fitted, args.level)}
-
-        tags = ["r_is"] if family == "is" else ["r_cg_tilde", "r_cg"]
-        for tag in tags:
-            d_len = dyn_summ[tag].length
-            s_len = sta_summ[tag].length
+        # interval lengths in the last fitted year, dynamic against static
+        d_lens = {tag: summarize(draws, panel.region_ids, tag, args.level).length
+                  for tag, draws in _risk_draws(dyn, fit_panel, t_hold - 1).items()}
+        s_lens = {tag: summarize(draws, panel.region_ids, tag, args.level).length
+                  for tag, draws in _risk_draws(sta, last_fitted).items()}
+        for tag, d_len in d_lens.items():
+            s_len = s_lens[tag]
             pred = forecast_risks(dyn, panel, estimator=tag,
                                   seed=derive_seed(seed, "forecast", family, tag))
             ev = evaluate_holdout(pred, observed, level=args.level,

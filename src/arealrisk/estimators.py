@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, _eta, _fmt, _write_json, apply_link
+from .model import (Dataset, _eta, _fmt, _write_json, apply_link,
+                    internal_standardization)
 from .sampler import PosteriorSamples
 
 __all__ = [
@@ -115,6 +116,25 @@ def _cg_risk(estimator: str, p, n_t, E_t=None) -> np.ndarray:
     return p / pbar[:, None]
 
 
+def _risk_draws(samples: PosteriorSamples, dataset: Dataset,
+                t: int | None = None) -> dict:
+    """Draws of every estimator a fit provides at slice ``t``, by tag.
+
+    An IS fit gives ``r_is``; a CG fit gives ``r_cg_tilde`` (against the
+    internally standardized expected counts) and ``r_cg``.
+    """
+    if samples.spec.family == "is":
+        return {"r_is": risk_is(samples, dataset, t)}
+    E = internal_standardization(dataset)
+    return {"r_cg_tilde": risk_cg_tilde(samples, dataset, E, t),
+            "r_cg": risk_cg_true(samples, dataset, t)}
+
+
+def _check_level(level: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+
+
 def summarize(risk: np.ndarray, region_ids, estimator: str,
               level: float = 0.90, time=None) -> RiskSummary:
     """Equal-tailed posterior summaries of a (draws, regions) risk matrix."""
@@ -125,8 +145,7 @@ def summarize(risk: np.ndarray, region_ids, estimator: str,
         raise ValueError(
             f"need at least {MIN_DRAWS} draws to summarize, got {risk.shape[0]}"
         )
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    _check_level(level)
     tail = (1.0 - level) / 2.0
     lower, med, upper = np.quantile(risk, [tail, 0.5, 1.0 - tail], axis=0)
     return RiskSummary(
@@ -146,6 +165,16 @@ def summarize(risk: np.ndarray, region_ids, estimator: str,
 # artifact writers
 
 
+# the per-region fields of every summary artifact, each read off the summary
+# attribute it names; the interval columns keep their 90% names at any level
+_FIELDS = {"mean": "mean", "median": "median", "lo90": "lower", "hi90": "upper",
+           "length": "length", "exceedance": "exceedance"}
+
+
+def _field_columns(s: RiskSummary) -> list:
+    return [getattr(s, attr).tolist() for attr in _FIELDS.values()]
+
+
 def write_summary_csv(summaries, path) -> None:
     """Write risk summaries as CSV.
 
@@ -156,26 +185,15 @@ def write_summary_csv(summaries, path) -> None:
     """
     summaries = list(summaries)
     with_time = any(s.time is not None for s in summaries)
-    cols = ["region"] + (["time"] if with_time else []) + [
-        "estimator", "mean", "median", "lo90", "hi90", "length", "exceedance",
-    ]
+    cols = ["region"] + (["time"] if with_time else []) + ["estimator", *_FIELDS]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for s in summaries:
-            for i, region in enumerate(s.region_ids):
-                row = [region]
-                if with_time:
-                    row.append("" if s.time is None else str(s.time))
-                row += [
-                    s.estimator,
-                    _fmt(s.mean[i]),
-                    _fmt(s.median[i]),
-                    _fmt(s.lower[i]),
-                    _fmt(s.upper[i]),
-                    _fmt(s.upper[i] - s.lower[i]),
-                    _fmt(s.exceedance[i]),
-                ]
-                fh.write(",".join(row) + "\n")
+            lead = [s.estimator]
+            if with_time:
+                lead.insert(0, "" if s.time is None else str(s.time))
+            for region, *values in zip(s.region_ids, *_field_columns(s)):
+                fh.write(",".join([region, *lead, *map(_fmt, values)]) + "\n")
 
 
 def write_geojson_properties(summaries, path) -> None:
@@ -187,15 +205,8 @@ def write_geojson_properties(summaries, path) -> None:
     """
     out: dict = {}
     for s in summaries:
-        for i, region in enumerate(s.region_ids):
-            fields = {
-                "mean": float(s.mean[i]),
-                "median": float(s.median[i]),
-                "lo90": float(s.lower[i]),
-                "hi90": float(s.upper[i]),
-                "length": float(s.upper[i] - s.lower[i]),
-                "exceedance": float(s.exceedance[i]),
-            }
+        for region, *values in zip(s.region_ids, *_field_columns(s)):
+            fields = dict(zip(_FIELDS, values))
             slot = out.setdefault(region, {})
             if s.time is None:
                 slot[s.estimator] = fields

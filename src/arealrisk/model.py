@@ -365,6 +365,12 @@ def load_dataset(path) -> Dataset:
             xs = [float(v) for v in row[off + 2 :]]
         except ValueError as exc:
             raise ValueError(f"{path}, line {line}: {exc}") from None
+        if y < 0:
+            raise ValueError(f"{path}, line {line}: count must be nonnegative, "
+                             f"got {y}")
+        if not 0.0 < n < np.inf:
+            raise ValueError(f"{path}, line {line}: population must be positive "
+                             f"and finite, got {n}")
         records.append((region, year, y, n, xs))
 
     region_order: list[str] = []

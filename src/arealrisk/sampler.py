@@ -108,9 +108,9 @@ class ChainState:
 class PosteriorSamples:
     """Thinned post-burn-in draws with fit metadata.
 
-    Arrays are indexed (draw, parameter). ``acceptance`` holds post-burn-in
-    acceptance rates per Metropolis block; ``proposal_scales`` the frozen
-    scales. ``E`` is the expected-count array used by IS fits (None for CG).
+    Arrays are indexed (draw, parameter). ``acceptance`` holds the
+    acceptance rates of the post-burn-in sweeps per Metropolis block;
+    ``proposal_scales`` the frozen scales.
     """
 
     spec: ModelSpec
@@ -125,16 +125,11 @@ class PosteriorSamples:
     omega: np.ndarray | None
     acceptance: dict
     proposal_scales: dict
-    E: np.ndarray | None
     n_nonfinite_events: int
 
     @property
     def n_draws(self) -> int:
         return self.beta.shape[0]
-
-    @property
-    def n_regions(self) -> int:
-        return self.phi.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +366,6 @@ class _ChainRunner:
             st.acceptance_counts[name] = np.zeros_like(arr)
             st.proposal_counts[name] = np.zeros_like(arr)
         self.state = st
-        self.post_acc = {k2: np.zeros_like(v) for k2, v in st.acceptance_counts.items()}
-        self.post_tries = {k2: np.zeros_like(v) for k2, v in st.acceptance_counts.items()}
         self.nonfinite = dict.fromkeys(st.proposal_scales, 0)
         # the current state's x @ beta and per-cell likelihood terms, carried
         # through the sweep so each Metropolis step evaluates only its proposal
@@ -506,63 +499,53 @@ class _ChainRunner:
             self.update_rho()
             self.update_omega()
 
-    def _accumulate_post(self):
-        for name in self.post_acc:
-            self.post_acc[name] += self.state.acceptance_counts[name]
-            self.post_tries[name] += self.state.proposal_counts[name]
-
-    def _reset_window(self):
-        for name in self.state.acceptance_counts:
-            self.state.acceptance_counts[name][:] = 0
-            self.state.proposal_counts[name][:] = 0
-
     def run(self) -> PosteriorSamples:
         cfg = self.config
         st = self.state
+        acc, tries = st.acceptance_counts, st.proposal_counts
+
+        # burn-in: rescale the proposals after every window, then count afresh
+        for it in range(1, cfg.burn_in + 1):
+            self.sweep()
+            if it % cfg.adapt_window == 0:
+                for name, scales in st.proposal_scales.items():
+                    adapt_scales(scales, acc[name], tries[name], cfg.target_acceptance)
+                    acc[name][:] = 0
+                    tries[name][:] = 0
+        # the kernel is frozen from here on; the reported rates count these
+        # sweeps only, not the tail of a partial last window
+        for name in acc:
+            acc[name][:] = 0
+            tries[name][:] = 0
+
         n_draws = cfg.n_draws
-        k = st.beta.size
-        out_beta = np.empty((n_draws, k))
+        out_beta = np.empty((n_draws, st.beta.size))
         out_phi = np.empty((n_draws, self.I))
         out_tau = np.empty(n_draws)
         out_alpha = np.empty((n_draws, self.T)) if self.dynamic else None
         out_rho = np.empty(n_draws) if self.dynamic else None
         out_omega = np.empty(n_draws) if self.dynamic else None
-
-        d = 0
-        for it in range(1, cfg.n_iterations + 1):
+        for it in range(1, cfg.n_iterations - cfg.burn_in + 1):
             self.sweep()
-            in_burn_in = it <= cfg.burn_in
-            if not in_burn_in:
-                self._accumulate_post()
-            if in_burn_in and it % cfg.adapt_window == 0:
-                for name, scales in st.proposal_scales.items():
-                    adapt_scales(
-                        scales,
-                        st.acceptance_counts[name],
-                        st.proposal_counts[name],
-                        cfg.target_acceptance,
-                    )
-                self._reset_window()
-            elif not in_burn_in:
-                self._reset_window()
-            if not in_burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-                if not (
-                    np.isfinite(st.phi).all()
-                    and np.isfinite(st.beta).all()
-                    and np.isfinite(st.tau)
-                ):
-                    raise RuntimeError(
-                        f"non-finite chain state at iteration {it}; "
-                        f"beta={st.beta!r} tau={st.tau!r}"
-                    )
-                out_beta[d] = st.beta
-                out_phi[d] = st.phi
-                out_tau[d] = st.tau
-                if self.dynamic:
-                    out_alpha[d] = st.alpha
-                    out_rho[d] = st.rho
-                    out_omega[d] = st.omega
-                d += 1
+            if it % cfg.thin:
+                continue
+            if not (
+                np.isfinite(st.phi).all()
+                and np.isfinite(st.beta).all()
+                and np.isfinite(st.tau)
+            ):
+                raise RuntimeError(
+                    f"non-finite chain state at iteration {cfg.burn_in + it}; "
+                    f"beta={st.beta!r} tau={st.tau!r}"
+                )
+            d = it // cfg.thin - 1
+            out_beta[d] = st.beta
+            out_phi[d] = st.phi
+            out_tau[d] = st.tau
+            if self.dynamic:
+                out_alpha[d] = st.alpha
+                out_rho[d] = st.rho
+                out_omega[d] = st.omega
 
         for block, count in self.nonfinite.items():
             if count:
@@ -570,14 +553,8 @@ class _ChainRunner:
                     "%d non-finite Metropolis target(s) in block %r; "
                     "those proposals were rejected", count, block,
                 )
-        acceptance = {}
-        for name in self.post_acc:
-            with np.errstate(invalid="ignore"):
-                acceptance[name] = np.where(
-                    self.post_tries[name] > 0,
-                    self.post_acc[name] / np.maximum(self.post_tries[name], 1),
-                    np.nan,
-                )
+        acceptance = {name: acc[name] / np.where(tries[name] > 0, tries[name], np.nan)
+                      for name in acc}
         return PosteriorSamples(
             spec=self.spec,
             config=cfg,
@@ -591,7 +568,6 @@ class _ChainRunner:
             omega=out_omega,
             acceptance=acceptance,
             proposal_scales={k2: v.copy() for k2, v in st.proposal_scales.items()},
-            E=self.ctx.E,
             n_nonfinite_events=sum(self.nonfinite.values()),
         )
 

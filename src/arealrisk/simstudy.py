@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimators import risk_cg_tilde, risk_cg_true, risk_is, summarize
+from .estimators import _risk_draws, summarize
 from .graph import AdjacencyGraph
 from .model import Dataset, _fmt, internal_standardization
 from .sampler import SamplerConfig, run_chain
@@ -153,10 +153,6 @@ class ReplicationBatch:
     coverage: np.ndarray | None  # (B, I) binary; None for point-only estimators
     lengths: np.ndarray | None  # (B, I)
 
-    @property
-    def n_replicates(self) -> int:
-        return self.replicate_seeds.size
-
     def expected_losses(self) -> dict:
         return {
             "ratio": float(self.loss_ratio.mean()),
@@ -180,15 +176,7 @@ def _fit_and_summarize(dataset, graph, spec, config, truth, level):
     """One model fit -> {tag: (point, lower, upper)} over its estimators."""
     samples = run_chain(dataset, graph, spec, config)
     out = {}
-    if spec.family == "is":
-        draws = {"r_is": risk_is(samples, dataset)}
-    else:
-        E = internal_standardization(dataset)
-        draws = {
-            "r_cg_tilde": risk_cg_tilde(samples, dataset, E),
-            "r_cg": risk_cg_true(samples, dataset),
-        }
-    for tag, mat in draws.items():
+    for tag, mat in _risk_draws(samples, dataset).items():
         s = summarize(mat, dataset.region_ids, tag, level)
         out[tag] = (s.mean, s.lower, s.upper)
     acc = {name: arr[np.isfinite(arr)] for name, arr in samples.acceptance.items()}

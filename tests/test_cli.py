@@ -42,6 +42,17 @@ class TestSimulate:
             (lattice_files / "dataset.csv").read_bytes()
 
 
+    def test_hub_ids_with_spaces(self, lattice_files, tmp_path):
+        # simulate parses --hubs as the study parses its INI hubs key
+        for name, hubs in (("plain", "r0,r5,r10"), ("spaced", "r0, r5 ,r10")):
+            rc = run_cli("simulate", "--lattice", 4, "--seed", 5, "--hubs", hubs,
+                         "--out", tmp_path / name)
+            assert rc == 0
+        truth = (tmp_path / "spaced" / "truth.csv").read_bytes()
+        assert truth == (tmp_path / "plain" / "truth.csv").read_bytes()
+        assert truth != (lattice_files / "truth.csv").read_bytes()
+
+
 class TestFit:
     def test_cg_fit_artifacts(self, lattice_files, tmp_path):
         rc = run_cli("fit", "--data", lattice_files / "dataset.csv",
@@ -320,6 +331,11 @@ class TestMalformedCsv:
     @pytest.mark.parametrize("row, message", [
         ("r1,x,100", "invalid literal for int()"),
         ("r1,12", "row has 2 fields, expected 3"),
+        ("r1,-3,100", "count must be nonnegative, got -3"),
+        ("r1,3,0", "population must be positive and finite, got 0.0"),
+        ("r1,3,-100", "population must be positive and finite, got -100.0"),
+        ("r1,3,nan", "population must be positive and finite, got nan"),
+        ("r1,3,inf", "population must be positive and finite, got inf"),
     ])
     def test_dataset_row(self, lattice_files, tmp_path, capsys, row, message):
         lines = (lattice_files / "dataset.csv").read_text().splitlines()
@@ -338,6 +354,11 @@ class TestMalformedCsv:
     @pytest.mark.parametrize("row, message", [
         ("r1,abc", "could not convert string to float"),
         ("r1", "expected region,n"),
+        ("r0,100", "repeated region 'r0'"),
+        ("r1,-5", "population must be positive and finite, got -5.0"),
+        ("r1,0", "population must be positive and finite, got 0.0"),
+        ("r1,nan", "population must be positive and finite, got nan"),
+        ("r1,inf", "population must be positive and finite, got inf"),
     ])
     def test_populations_row(self, lattice_files, tmp_path, capsys, row,
                              message):
@@ -363,3 +384,41 @@ class TestMalformedCsv:
                      "--populations", empty, "--out", tmp_path / "sim")
         assert rc != 0
         assert "header must be region,n" in json.loads(capsys.readouterr().err)["message"]
+
+
+class TestLevelCheckedUpFront:
+    """A bad --level (or [study] level) fails before any chain is run."""
+
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
+        def run_chain(*args, **kwargs):
+            raise AssertionError("run_chain called")
+
+        monkeypatch.setattr("arealrisk.cli.run_chain", run_chain)
+        monkeypatch.setattr("arealrisk.simstudy.run_chain", run_chain)
+
+    def assert_rejected(self, rc, capsys):
+        assert rc != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": "level must be in (0, 1), got 1.5"}
+
+    def test_fit(self, lattice_files, tmp_path, capsys, no_sampling):
+        rc = run_cli("fit", "--data", lattice_files / "dataset.csv",
+                     "--adjacency", lattice_files / "adjacency.csv",
+                     "--family", "cg", *FAST, "--level", 1.5, "--out", tmp_path)
+        self.assert_rejected(rc, capsys)
+
+    def test_forecast(self, panel_file, tmp_path, capsys, no_sampling):
+        rc = run_cli("forecast", "--data", panel_file / "panel.csv",
+                     "--adjacency", panel_file / "adjacency.csv", *FAST,
+                     "--level", 1.5, "--out", tmp_path)
+        self.assert_rejected(rc, capsys)
+
+    def test_study(self, tmp_path, capsys, no_sampling):
+        cfg = tmp_path / "study.ini"
+        cfg.write_text("[graph]\nlattice = 3\n"
+                       "[study]\nreplicates = 2\nlevel = 1.5\n"
+                       "[sampler]\niterations = 300\nburn_in = 100\n")
+        rc = run_cli("study", "--config", cfg, "--out", tmp_path / "out")
+        self.assert_rejected(rc, capsys)

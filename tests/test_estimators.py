@@ -34,7 +34,6 @@ def make_samples(spec, beta, phi, region_ids, alpha=None, rho=None, omega=None,
         omega=None if omega is None else np.asarray(omega, dtype=float),
         acceptance={},
         proposal_scales={},
-        E=None,
         n_nonfinite_events=0,
     )
 

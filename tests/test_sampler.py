@@ -414,6 +414,39 @@ class TestRunChain:
             assert np.all(rates >= 0.15 - 1e-12), (name, rates)
             assert np.all(rates <= 0.40 + 1e-12), (name, rates)
 
+    @pytest.mark.parametrize("dynamic", [False, True])
+    @pytest.mark.parametrize("burn_in, window", [(150, 250), (250, 100)])
+    def test_rates_count_post_burn_in_sweeps_only(self, burn_in, window, dynamic):
+        # a burn-in that is not a whole number of adaptation windows must not
+        # leak its last, partial window into the reported rates
+        rng = np.random.default_rng(36)
+        graph, data = covariate_problem(rng, 2, T=4 if dynamic else None)
+        spec = ModelSpec("cg", temporal="dynamic_ar1" if dynamic else "static")
+        cfg = SamplerConfig(n_iterations=burn_in + 121, burn_in=burn_in, thin=2,
+                            seed=37, adapt_window=window)
+        reported = run_chain(data, graph, spec, cfg).acceptance
+
+        runner = _ChainRunner(data, graph, spec, cfg)
+        st, sweep, per_sweep = runner.state, runner.sweep, []
+
+        def counted_sweep():
+            before = {b: (st.acceptance_counts[b].copy(), st.proposal_counts[b].copy())
+                      for b in st.proposal_scales}
+            sweep()
+            per_sweep.append({b: (st.acceptance_counts[b] - acc,
+                                  st.proposal_counts[b] - tries)
+                              for b, (acc, tries) in before.items()})
+
+        runner.sweep = counted_sweep
+        runner.run()
+        assert len(per_sweep) == cfg.n_iterations
+        post = per_sweep[burn_in:]
+        assert set(reported) == set(st.proposal_scales)
+        for block, rate in reported.items():
+            accepted = sum(counts[block][0] for counts in post)
+            proposed = sum(counts[block][1] for counts in post)
+            assert np.array_equal(rate, accepted / proposed), block
+
 
 def covariate_problem(rng, k, T=None, I=6):
     """A path graph with one chord (three colour classes) and k covariates."""
