@@ -61,7 +61,7 @@ print(f"posterior mean omega = {dyn.omega.mean():.4f} (truth {omega_true})")
 # ----------------------------------------------------------------------
 # 3. Forecast the held-out year and score against observed raw risks
 
-pred = forecast_risks(dyn, panel, estimator="r_cg", seed=SEED)
+pred = forecast_risks(dyn, panel, seed=SEED)["r_cg"]
 observed = observed_raw_risks(panel, T - 1)
 ev = evaluate_holdout(pred, observed, region_ids=panel.region_ids)
 print(f"\nheld-out year {panel.times[-1]}: "

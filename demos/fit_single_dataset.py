@@ -48,7 +48,7 @@ is_ = run_chain(data, graph, ModelSpec("is"), config)
 
 summaries = {
     "r_is": summarize(risk_is(is_, data), data.region_ids, "r_is"),
-    "r_cg_tilde": summarize(risk_cg_tilde(cg, data, E), data.region_ids,
+    "r_cg_tilde": summarize(risk_cg_tilde(cg, data), data.region_ids,
                             "r_cg_tilde"),
     "r_cg": summarize(risk_cg_true(cg, data), data.region_ids, "r_cg"),
 }

@@ -86,7 +86,8 @@ def _print_config(args) -> int:
     else:
         config = {k: v for k, v in vars(args).items()
                   if k not in ("func", "print_config")}
-        config["seed"] = _resolve_seed(args)
+        if "seed" in config:
+            config["seed"] = _resolve_seed(args)
     _write_json(config, sys.stdout)
     return 0
 
@@ -115,8 +116,6 @@ def _add_common_flags(p):
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--print-config", action="store_true",
                    help="print the resolved configuration and exit")
-    p.add_argument("--level", type=float, default=0.90,
-                   help="credible-interval level")
 
 
 def _spec_from_args(args, family: str, temporal: str) -> ModelSpec:
@@ -259,9 +258,16 @@ STUDY_DEFAULTS = {
     "run": {"seed": "0", "jobs": "1"},
 }
 
+# the study flags that override an INI key: (flag, section, key)
+_STUDY_FLAGS = [("replicates", "study", "replicates"), ("jobs", "run", "jobs"),
+                ("link", "study", "links"), ("level", "study", "level"),
+                ("population_scale", "populations", "scale"),
+                ("iterations", "sampler", "iterations"),
+                ("burn_in", "sampler", "burn_in")]
+
 
 def _load_study_config(path) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     cp.read_dict(STUDY_DEFAULTS)
     if path:
         read = cp.read(path)
@@ -275,18 +281,10 @@ def _study_settings(args) -> dict:
     cfg = {s: dict(cp[s]) for s in cp.sections()}
     # flag overrides
     cfg["run"]["seed"] = str(_resolve_seed(args, default=cfg["run"]["seed"]))
-    if args.replicates is not None:
-        cfg["study"]["replicates"] = str(args.replicates)
-    if args.jobs is not None:
-        cfg["run"]["jobs"] = str(args.jobs)
-    if args.link is not None:
-        cfg["study"]["links"] = args.link
-    if args.population_scale is not None:
-        cfg["populations"]["scale"] = str(args.population_scale)
-    if args.iterations is not None:
-        cfg["sampler"]["iterations"] = str(args.iterations)
-    if args.burn_in is not None:
-        cfg["sampler"]["burn_in"] = str(args.burn_in)
+    for flag, section, key in _STUDY_FLAGS:
+        value = getattr(args, flag)
+        if value is not None:
+            cfg[section][key] = str(value)
     return cfg
 
 
@@ -417,8 +415,8 @@ def cmd_forecast(args) -> int:
                   for tag, draws in _risk_draws(sta, last_fitted).items()}
         for tag, d_len in d_lens.items():
             s_len = s_lens[tag]
-            pred = forecast_risks(dyn, panel, estimator=tag,
-                                  seed=derive_seed(seed, "forecast", family, tag))
+            pred = forecast_risks(
+                dyn, panel, seed=derive_seed(seed, "forecast", family, tag))[tag]
             ev = evaluate_holdout(pred, observed, level=args.level,
                                   region_ids=panel.region_ids)
             report["estimators"][tag] = {
@@ -515,6 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--link", choices=LINKS, default="logit")
     p_fit.add_argument("--c0", type=float, default=None)
     p_fit.add_argument("--dump-draws", dest="dump_draws", action="store_true")
+    p_fit.add_argument("--level", type=float, default=0.90,
+                       help="credible-interval level")
     _add_sampler_flags(p_fit)
     _add_common_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
@@ -545,6 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
                          type=float, default=None)
     p_study.add_argument("--iterations", type=int, default=None)
     p_study.add_argument("--burn-in", dest="burn_in", type=int, default=None)
+    p_study.add_argument("--level", type=float, default=None,
+                         help="credible-interval level, overrides config")
     _add_common_flags(p_study)
     p_study.set_defaults(func=cmd_study)
 
@@ -556,6 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.add_argument("--link", choices=LINKS, default="logit")
     p_fc.add_argument("--c0", type=float, default=None)
     p_fc.add_argument("--holdout", default=None, help="held-out year label")
+    p_fc.add_argument("--level", type=float, default=0.90,
+                      help="credible-interval level")
     _add_sampler_flags(p_fc)
     _add_common_flags(p_fc)
     p_fc.set_defaults(func=cmd_forecast)
@@ -567,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--left-estimator", dest="left_estimator", default="r_cg")
     p_cmp.add_argument("--right-estimator", dest="right_estimator",
                        default="r_is")
-    p_cmp.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
     p_cmp.add_argument("--out", required=True)
     p_cmp.add_argument("--print-config", action="store_true")
     p_cmp.set_defaults(func=cmd_compare)

@@ -81,19 +81,17 @@ def risk_is(samples: PosteriorSamples, dataset: Dataset,
     return np.exp(_slice_eta(samples, dataset, t))
 
 
-def risk_cg_tilde(samples: PosteriorSamples, dataset: Dataset, E,
+def risk_cg_tilde(samples: PosteriorSamples, dataset: Dataset,
                   t: int | None = None) -> np.ndarray:
-    """Risk draws n_i p_i / E_i: a fixed positive rescaling of the p draws."""
-    E = np.asarray(E, dtype=float)
-    if np.any(E <= 0):
-        raise ValueError("expected counts must be strictly positive")
+    """Risk draws n_i p_i / E_i: a fixed positive rescaling of the p draws.
+
+    E is ``internal_standardization(dataset)``, at slice ``t`` for a panel.
+    """
     p = incidence_draws(samples, dataset, t)
+    n, E = dataset.n, internal_standardization(dataset)
     if dataset.is_dynamic:
-        n_t = dataset.n[:, t]
-        E_t = E[:, t] if E.ndim == 2 else E
-    else:
-        n_t, E_t = dataset.n, E
-    return _cg_risk("r_cg_tilde", p, n_t, E_t)
+        n, E = n[:, t], E[:, t]
+    return p * (n / E)[None, :]
 
 
 def risk_cg_true(samples: PosteriorSamples, dataset: Dataset,
@@ -105,13 +103,6 @@ def risk_cg_true(samples: PosteriorSamples, dataset: Dataset,
     """
     p = incidence_draws(samples, dataset, t)
     n_t = dataset.n[:, t] if dataset.is_dynamic else dataset.n
-    return _cg_risk("r_cg", p, n_t)
-
-
-def _cg_risk(estimator: str, p, n_t, E_t=None) -> np.ndarray:
-    """``r_cg`` or ``r_cg_tilde`` draws from the incidence draws of one slice."""
-    if estimator == "r_cg_tilde":
-        return p * (n_t / E_t)[None, :]
     pbar = (p @ n_t) / n_t.sum()
     return p / pbar[:, None]
 
@@ -125,8 +116,7 @@ def _risk_draws(samples: PosteriorSamples, dataset: Dataset,
     """
     if samples.spec.family == "is":
         return {"r_is": risk_is(samples, dataset, t)}
-    E = internal_standardization(dataset)
-    return {"r_cg_tilde": risk_cg_tilde(samples, dataset, E, t),
+    return {"r_cg_tilde": risk_cg_tilde(samples, dataset, t),
             "r_cg": risk_cg_true(samples, dataset, t)}
 
 

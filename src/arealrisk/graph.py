@@ -163,7 +163,7 @@ def car_log_kernel(graph: AdjacencyGraph, phi: np.ndarray, tau: float) -> float:
     )
 
 
-def _parse_edge_list(rows, declared):
+def _parse_edge_list(rows):
     edges = []
     order: list[str] = []
     seen_ids = set()
@@ -180,7 +180,6 @@ def _parse_edge_list(rows, declared):
         if len(row) < 2 or row[1] == "":
             # a row naming only one region declares it without neighbors
             note(row[0])
-            declared.add(row[0])
             continue
         a, b = row[0], row[1]
         if a == "" or b == "":
@@ -245,30 +244,16 @@ def load_adjacency(path, region_ids=None) -> AdjacencyGraph:
         numbered = [(lineno, row) for lineno, row in enumerate(reader, start=2)]
 
     header_norm = [c.strip().lower() for c in header]
-    declared: set[str] = set()
     if header_norm[:2] == ["from", "to"]:
-        order, named_edges = _parse_edge_list(numbered, declared)
+        order, named_edges = _parse_edge_list(numbered)
     else:
         order, named_edges = _parse_matrix(header, numbered)
 
     if region_ids is not None:
-        required = [str(r) for r in region_ids]
         onto = set(order)
-        missing = [r for r in required if r not in onto]
-        declared.update(missing)
-        for r in missing:
-            order.append(r)
+        order += [str(r) for r in region_ids if str(r) not in onto]
 
+    # a region without an edge is an island; AdjacencyGraph rejects it by name
     index = {r: i for i, r in enumerate(order)}
     edges = [(index[a], index[b]) for a, b in named_edges]
-
-    # regions declared without any edge surface as islands
-    if declared:
-        touched = {i for e in edges for i in e}
-        isolated = sorted(r for r in declared if index[r] not in touched)
-        if isolated:
-            raise GraphStructureError(
-                "isolated region(s) with no neighbors: " + ", ".join(isolated)
-            )
-
     return AdjacencyGraph(order, edges)

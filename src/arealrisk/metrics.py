@@ -8,12 +8,12 @@ means to the observed raw risks of the held-out slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import MIN_DRAWS, _cg_risk
-from .model import Dataset, _eta, _write_json, apply_link, internal_standardization
+from .estimators import MIN_DRAWS, _risk_draws
+from .model import Dataset, _write_json, internal_standardization
 from .sampler import PosteriorSamples
 
 __all__ = [
@@ -43,55 +43,35 @@ class ForecastEvaluation:
 
 
 def forecast_risks(samples: PosteriorSamples, dataset: Dataset,
-                   horizon: int = 1, estimator: str | None = None,
-                   seed: int = 0) -> np.ndarray:
-    """One-step-ahead relative-risk draws for the held-out slice.
+                   seed: int = 0) -> dict:
+    """One-step-ahead draws of every estimator the fit provides, by tag.
 
-    ``dataset`` is the full panel; the fit must cover all but the final
-    ``horizon`` slices. Each retained draw advances the temporal effect by
-    alpha_{T+1} = rho * alpha_T + N(0, omega) and maps through the fitted
-    family using the held-out slice's populations (and, for r_cg_tilde, its
-    internally standardized expected counts).
+    ``dataset`` is the full panel; the fit covers the slices before the
+    held-out one. Each retained draw advances the temporal effect by
+    alpha_{T+1} = rho * alpha_T + N(0, omega), and the advanced draws give
+    the held-out slice's ``{tag: draws}`` as a fit's draws give a fitted one.
     """
     if samples.alpha is None:
         raise TypeError("forecasting requires a dynamic fit")
-    if horizon != 1:
-        raise ValueError("only one-step-ahead forecasting is supported")
     if not dataset.is_dynamic:
         raise ValueError("forecasting requires a panel dataset")
-    T_fit = len(samples.times)
-    t_new = T_fit + horizon - 1
+    t_new = len(samples.times)
     if dataset.n_times <= t_new:
         raise ValueError(
             f"panel has {dataset.n_times} slices; cannot hold out slice {t_new}"
         )
-    if estimator is None:
-        estimator = "r_is" if samples.spec.family == "is" else "r_cg"
-
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(samples.n_draws)
     alpha_new = samples.rho * samples.alpha[:, -1] + np.sqrt(samples.omega) * noise
-
-    x_new = dataset.x[:, t_new, :]
-    n_new = dataset.n[:, t_new]
-    eta = _eta(samples.beta @ x_new.T, samples.phi, alpha_new[:, None])
-
-    if samples.spec.family == "is":
-        if estimator != "r_is":
-            raise TypeError(f"estimator {estimator!r} needs a CG fit")
-        return np.exp(eta)
-    if estimator not in ("r_cg", "r_cg_tilde"):
-        raise TypeError(f"estimator {estimator!r} needs an IS fit")
-    p = apply_link(samples.spec.link, eta, samples.spec.c0)
-    E_new = (internal_standardization(dataset.time_slice(t_new))
-             if estimator == "r_cg_tilde" else None)
-    return _cg_risk(estimator, p, n_new, E_new)
+    ahead = replace(samples, times=dataset.times[: t_new + 1],
+                    alpha=np.column_stack([samples.alpha, alpha_new]))
+    return _risk_draws(ahead, dataset, t_new)
 
 
-def observed_raw_risks(dataset: Dataset, t: int) -> np.ndarray:
-    """Raw risks Y/E of slice ``t``, standardized within that slice."""
-    holdout = dataset.time_slice(t)
-    return holdout.y / internal_standardization(holdout)
+def observed_raw_risks(dataset: Dataset, t: int | None = None) -> np.ndarray:
+    """Raw risks Y/E, E = internal_standardization(dataset); ``t`` picks a slice."""
+    raw = dataset.y / internal_standardization(dataset)
+    return raw if t is None else raw[:, t]
 
 
 def crps_empirical(draws, observed: float) -> float:

@@ -196,21 +196,15 @@ def internal_standardization(dataset: Dataset) -> np.ndarray:
     """Expected counts from the pooled observed rate, per time slice.
 
     E_i = n_i * (sum_i Y_i / sum_i n_i); for panel data each time slice is
-    standardized on its own. Within every slice sum(E) == sum(Y) exactly.
+    standardized on its own. Within every slice sum(E) equals sum(Y) up to
+    rounding: exactly for whole-number populations, to a few ulps otherwise.
     """
-    y, n = dataset.y, dataset.n
-    if dataset.is_dynamic:
-        totals = y.sum(axis=0).astype(float)
-        if np.any(totals <= 0):
-            t_bad = dataset.times[int(np.nonzero(totals <= 0)[0][0])]
-            raise ValueError(
-                f"all counts are zero at time {t_bad!r}; the pooled rate degenerates"
-            )
-        return n * (totals / n.sum(axis=0))
-    total = float(y.sum())
-    if total <= 0:
-        raise ValueError("all counts are zero; the pooled rate degenerates")
-    return n * (total / n.sum())
+    totals = dataset.y.sum(axis=0).astype(float)  # one total per slice
+    if np.any(totals <= 0):
+        where = (f" at time {dataset.times[int(np.argmin(totals))]!r}"
+                 if dataset.is_dynamic else "")
+        raise ValueError(f"all counts are zero{where}; the pooled rate degenerates")
+    return dataset.n * (totals / dataset.n.sum(axis=0))
 
 
 def apply_link(link: str, eta, c0: float | None = None) -> np.ndarray:

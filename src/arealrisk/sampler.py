@@ -28,11 +28,10 @@ from .model import (
     Dataset,
     ModelSpec,
     _eta,
+    _log_likelihood,
     _poisson_terms,
     _write_json,
     internal_standardization,
-    log_likelihood_cg,
-    log_likelihood_is,
 )
 
 __all__ = [
@@ -139,8 +138,7 @@ class PosteriorSamples:
 class _FitContext:
     """Precomputed arrays for one (dataset, graph, spec) fit."""
 
-    def __init__(self, dataset: Dataset, graph: AdjacencyGraph, spec: ModelSpec,
-                 E=None):
+    def __init__(self, dataset: Dataset, graph: AdjacencyGraph, spec: ModelSpec):
         if dataset.region_ids != graph.region_ids:
             if set(dataset.region_ids) != set(graph.region_ids):
                 raise ValueError("dataset regions do not match the adjacency graph")
@@ -153,12 +151,10 @@ class _FitContext:
             )
         if spec.is_dynamic and dataset.n_times < 2:
             raise ValueError("dynamic fits need at least two time points")
-        if spec.family == "is" and E is None:
-            E = internal_standardization(dataset)
         self.dataset = dataset
         self.graph = graph
         self.spec = spec
-        self.E = None if E is None else np.asarray(E, dtype=float)
+        self.E = internal_standardization(dataset) if spec.family == "is" else None
         self.y = dataset.y
         self.n = dataset.n
         self.x = dataset.x
@@ -195,13 +191,13 @@ class _FitContext:
 
 
 def phi_log_target(dataset, graph, spec, beta, phi, tau, i, value,
-                   alpha=None, E=None) -> float:
+                   alpha=None) -> float:
     """Log full-conditional of one spatial effect, up to a constant.
 
     CAR conditional term plus region ``i``'s likelihood contribution with
     phi_i set to ``value``; all other parameters held at the given state.
     """
-    ctx = _FitContext(dataset, graph, spec, E)
+    ctx = _FitContext(dataset, graph, spec)
     phi = np.asarray(phi, dtype=float)
     nbrs = graph.neighbors(i)
     nbr_mean = float(phi[nbrs].mean())
@@ -212,13 +208,10 @@ def phi_log_target(dataset, graph, spec, beta, phi, tau, i, value,
     return float(prior + lik[0])
 
 
-def beta_log_target(dataset, spec, beta, phi, alpha=None, E=None) -> float:
+def beta_log_target(dataset, spec, beta, phi, alpha=None) -> float:
     """Log full-conditional of the regression coefficients (flat prior)."""
-    if spec.family == "is":
-        if E is None:
-            E = internal_standardization(dataset)
-        return log_likelihood_is(dataset, E, beta, phi, alpha)
-    return log_likelihood_cg(dataset, beta, phi, spec.link, spec.c0, alpha)
+    E = internal_standardization(dataset) if spec.family == "is" else None
+    return _log_likelihood(dataset, spec, beta, phi, alpha, E)
 
 
 def ar1_log_prior(alpha, rho, omega) -> float:
@@ -257,18 +250,15 @@ def _ar1_conditional(alpha, t, value, rho, omega) -> float:
     return out
 
 
-def alpha_log_target(dataset, spec, beta, phi, alpha, rho, omega, t, value,
-                     E=None) -> float:
+def alpha_log_target(dataset, spec, beta, phi, alpha, rho, omega, t, value) -> float:
     """Log full-conditional of one temporal effect, up to a constant.
 
     AR(1) terms involving alpha_t plus the likelihood of time slice t.
     """
     prior = _ar1_conditional(np.asarray(alpha, dtype=float), t, value, rho, omega)
-    if spec.family == "is" and E is None:
-        E = internal_standardization(dataset)
+    E_t = internal_standardization(dataset)[:, t] if spec.family == "is" else None
     eta = _eta(dataset.x[:, t, :] @ np.asarray(beta, float), np.asarray(phi, float),
                value)
-    E_t = None if E is None else np.asarray(E, float)[:, t]
     lik = _poisson_terms(dataset.y[:, t], dataset.n[:, t], eta, spec, E_t).sum()
     return float(prior + lik)
 
@@ -294,7 +284,7 @@ def omega_posterior_params(alpha, rho: float):
 
 
 def joint_log_posterior(dataset, graph, spec, beta, phi, tau,
-                        alpha=None, rho=None, omega=None, E=None) -> float:
+                        alpha=None, rho=None, omega=None) -> float:
     """Log joint posterior density up to the normalizing constant.
 
     Likelihood (constants retained) + CAR kernel + Gamma(a, b) prior on tau
@@ -302,7 +292,7 @@ def joint_log_posterior(dataset, graph, spec, beta, phi, tau,
     the omega^{-1} prior with a flat prior on rho over (-1, 1).
     """
     a, b = spec.tau_prior
-    out = beta_log_target(dataset, spec, beta, phi, alpha, E)
+    out = beta_log_target(dataset, spec, beta, phi, alpha)
     out += car_log_kernel(graph, phi, tau)
     out += a * np.log(b) - gammaln(a) + (a - 1.0) * np.log(tau) - b * tau
     if spec.is_dynamic:
@@ -332,8 +322,8 @@ def adapt_scales(scales, accepted, proposed, target=(0.15, 0.40)):
 
 
 class _ChainRunner:
-    def __init__(self, dataset, graph, spec, config, E=None):
-        self.ctx = _FitContext(dataset, graph, spec, E)
+    def __init__(self, dataset, graph, spec, config):
+        self.ctx = _FitContext(dataset, graph, spec)
         data = self.ctx.dataset
         k = data.n_covariates
         if data.covariate_rank() < k:
@@ -573,14 +563,14 @@ class _ChainRunner:
 
 
 def run_chain(dataset: Dataset, graph: AdjacencyGraph, spec: ModelSpec,
-              config: SamplerConfig, E=None) -> PosteriorSamples:
+              config: SamplerConfig) -> PosteriorSamples:
     """Fit one model by MCMC and return thinned post-burn-in draws.
 
     Deterministic given (dataset, graph, spec, config): identical inputs
     and seed produce identical draws. For the IS family the expected counts
-    are computed by internal standardization unless ``E`` is supplied.
+    are the internal standardization of ``dataset``, per slice for a panel.
     """
-    return _ChainRunner(dataset, graph, spec, config, E).run()
+    return _ChainRunner(dataset, graph, spec, config).run()
 
 
 # ---------------------------------------------------------------------------

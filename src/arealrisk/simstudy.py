@@ -19,7 +19,8 @@ import numpy as np
 
 from .estimators import _risk_draws, summarize
 from .graph import AdjacencyGraph
-from .model import Dataset, _fmt, internal_standardization
+from .metrics import observed_raw_risks
+from .model import Dataset, _fmt
 from .sampler import SamplerConfig, run_chain
 from .seeding import derive_rng, derive_seed
 
@@ -116,9 +117,9 @@ def build_truth(graph: AdjacencyGraph, populations,
     )
 
 
-def simulate_counts(truth: TruthMap, populations=None, seed: int = 0) -> Dataset:
+def simulate_counts(truth: TruthMap, seed: int = 0) -> Dataset:
     """Draw one replicate dataset: Y_i ~ Poisson(n_i p_i), seeded."""
-    n = truth.populations if populations is None else np.asarray(populations, float)
+    n = truth.populations
     rng = np.random.default_rng(seed)
     y = rng.poisson(n * truth.p_true)
     return Dataset(truth.region_ids, y, n, np.ones((len(n), 1)))
@@ -194,8 +195,7 @@ def _replicate_task(args):
     dataset = simulate_counts(truth, seed=data_seed)
     if np.any(dataset.y == 0):
         return b, None, "zero count in some region; raw log-risk undefined"
-    E = internal_standardization(dataset)
-    raw = dataset.y / E
+    raw = observed_raw_risks(dataset)
 
     results = {}
     acc_ranges = {}

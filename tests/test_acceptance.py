@@ -20,7 +20,6 @@ from arealrisk.model import (
     Dataset,
     ModelSpec,
     apply_link,
-    internal_standardization,
     log_likelihood_cg,
     log_likelihood_is,
 )
@@ -156,7 +155,6 @@ def test_criterion_2_full_conditional_consistency():
         family = "cg" if pair % 4 < 2 else "is"
         spec = ModelSpec(family, link="logit" if family == "cg" else None,
                          temporal="dynamic_ar1" if dynamic else "static")
-        E = internal_standardization(data) if family == "is" else None
         beta = rng.normal(scale=0.5, size=k)
         phi = rng.normal(scale=0.5, size=I)
         tau = float(rng.uniform(0.3, 2.0))
@@ -166,15 +164,15 @@ def test_criterion_2_full_conditional_consistency():
 
         def joint(b, ph, al):
             return joint_log_posterior(data, graph, spec, b, ph, tau,
-                                       al, rho, omega, E=E)
+                                       al, rho, omega)
 
         # phi block
         i = int(rng.integers(0, I))
         a, bvl = rng.normal(scale=0.7, size=2)
         td = phi_log_target(data, graph, spec, beta, phi, tau, i, a,
-                            alpha=alpha, E=E) - \
+                            alpha=alpha) - \
             phi_log_target(data, graph, spec, beta, phi, tau, i, bvl,
-                           alpha=alpha, E=E)
+                           alpha=alpha)
         pa, pb = phi.copy(), phi.copy()
         pa[i], pb[i] = a, bvl
         jd = joint(beta, pa, alpha) - joint(beta, pb, alpha)
@@ -185,8 +183,8 @@ def test_criterion_2_full_conditional_consistency():
         ba, bb = beta.copy(), beta.copy()
         ba[j] += rng.normal()
         bb[j] += rng.normal()
-        td = beta_log_target(data, spec, ba, phi, alpha, E=E) - \
-            beta_log_target(data, spec, bb, phi, alpha, E=E)
+        td = beta_log_target(data, spec, ba, phi, alpha) - \
+            beta_log_target(data, spec, bb, phi, alpha)
         jd = joint(ba, phi, alpha) - joint(bb, phi, alpha)
         worst = max(worst, abs(td - jd))
 
@@ -195,9 +193,9 @@ def test_criterion_2_full_conditional_consistency():
             t = int(rng.integers(0, data.n_times))
             av1, av2 = rng.normal(scale=0.5, size=2)
             td = alpha_log_target(data, spec, beta, phi, alpha, rho, omega,
-                                  t, av1, E=E) - \
+                                  t, av1) - \
                 alpha_log_target(data, spec, beta, phi, alpha, rho, omega,
-                                 t, av2, E=E)
+                                 t, av2)
             aa, ab = alpha.copy(), alpha.copy()
             aa[t], ab[t] = av1, av2
             jd = joint(beta, phi, aa) - joint(beta, phi, ab)
@@ -420,11 +418,9 @@ def test_criterion_10_dynamic_uncertainty():
         else:
             from arealrisk.estimators import risk_cg_tilde, risk_cg_true
 
-            E_panel = internal_standardization(fit_panel)
-            E_last = internal_standardization(last_year)
             d_len = interval_lengths(
-                risk_cg_tilde(dyn, fit_panel, E_panel, t_last))
-            s_len = interval_lengths(risk_cg_tilde(sta, last_year, E_last))
+                risk_cg_tilde(dyn, fit_panel, t_last))
+            s_len = interval_lengths(risk_cg_tilde(sta, last_year))
             results["r_cg_tilde"] = float(np.mean(d_len < s_len))
             d_len = interval_lengths(risk_cg_true(dyn, fit_panel, t_last))
             s_len = interval_lengths(risk_cg_true(sta, last_year))

@@ -1,9 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from arealrisk.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -194,6 +198,23 @@ class TestStudy:
         rc = run_cli("study", "--jobs", 3, "--print-config", "--out", tmp_path)
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["run"]["jobs"] == "3"
+
+    def test_level_flag_overrides_config(self, tmp_path, capsys):
+        rc = run_cli("study", "--level", 0.8, "--print-config", "--out", tmp_path)
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["study"]["level"] == "0.8"
+
+    def test_readme_config_parses(self, tmp_path, capsys):
+        # the README's INI example, inline "; comments" and all, is usable as is
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        cfg = tmp_path / "study.ini"
+        cfg.write_text(block)
+        rc = run_cli("study", "--config", cfg, "--print-config", "--out", tmp_path)
+        assert rc == 0
+        settings = json.loads(capsys.readouterr().out)
+        assert settings["graph"]["lattice"] == "10"
+        assert settings["study"]["links"] == "logit"
+        assert settings["truth"]["hubs"] == ""
 
 
 @pytest.fixture(scope="module")
@@ -421,4 +442,8 @@ class TestLevelCheckedUpFront:
                        "[study]\nreplicates = 2\nlevel = 1.5\n"
                        "[sampler]\niterations = 300\nburn_in = 100\n")
         rc = run_cli("study", "--config", cfg, "--out", tmp_path / "out")
+        self.assert_rejected(rc, capsys)
+
+    def test_study_flag(self, tmp_path, capsys, no_sampling):
+        rc = run_cli("study", "--level", 1.5, "--out", tmp_path)
         self.assert_rejected(rc, capsys)

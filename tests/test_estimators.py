@@ -79,53 +79,42 @@ def logit(p):
 class TestRiskCgTilde:
     def test_p_at_pooled_rate_gives_unit_risk(self):
         d = small_dataset()
-        E = internal_standardization(d)  # pooled rate 2/30
-        pbar = 2.0 / 30.0
+        pbar = 2.0 / 30.0  # the pooled rate
         eta = logit(pbar)
         s = make_samples(ModelSpec("cg"), np.full((2, 1), eta), np.zeros((2, 2)),
                          ["A", "B"])
-        r = risk_cg_tilde(s, d, E)
+        r = risk_cg_tilde(s, d)
         assert r == pytest.approx(np.ones((2, 2)))
 
     def test_linear_in_p(self):
         d = small_dataset()
-        E = internal_standardization(d)
         p_lo, p_hi = 0.05, 0.10
         s_lo = make_samples(ModelSpec("cg"), np.full((1, 1), logit(p_lo)),
                             np.zeros((1, 2)), ["A", "B"])
         s_hi = make_samples(ModelSpec("cg"), np.full((1, 1), logit(p_hi)),
                             np.zeros((1, 2)), ["A", "B"])
-        assert risk_cg_tilde(s_hi, d, E) == pytest.approx(
-            2.0 * risk_cg_tilde(s_lo, d, E)
+        assert risk_cg_tilde(s_hi, d) == pytest.approx(
+            2.0 * risk_cg_tilde(s_lo, d)
         )
 
     def test_direct_arithmetic(self):
         # n=(10,20), Y=(1,1): pooled rate 2/30; draw p=(0.1,0.05) -> (1.5, 0.75)
         d = small_dataset()
-        E = internal_standardization(d)
         phi = np.array([[logit(0.1), logit(0.05)]])
         s = make_samples(ModelSpec("cg"), np.zeros((1, 1)), phi, ["A", "B"])
-        r = risk_cg_tilde(s, d, E)
+        r = risk_cg_tilde(s, d)
         assert r[0] == pytest.approx([1.5, 0.75])
 
     def test_perfect_correlation_with_p(self):
         rng = np.random.default_rng(1)
         d = small_dataset()
-        E = internal_standardization(d)
         phi = rng.normal(size=(200, 2))
         s = make_samples(ModelSpec("cg"), np.zeros((200, 1)), phi, ["A", "B"])
         p = incidence_draws(s, d)
-        r = risk_cg_tilde(s, d, E)
+        r = risk_cg_tilde(s, d)
         for i in range(2):
             corr = np.corrcoef(p[:, i], r[:, i])[0, 1]
             assert corr == pytest.approx(1.0, abs=1e-12)
-
-    def test_nonpositive_E_rejected(self):
-        d = small_dataset()
-        s = make_samples(ModelSpec("cg"), np.zeros((1, 1)), np.zeros((1, 2)),
-                         ["A", "B"])
-        with pytest.raises(ValueError):
-            risk_cg_tilde(s, d, np.array([1.0, 0.0]))
 
 
 class TestRiskCgTrue:

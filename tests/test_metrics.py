@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arealrisk.estimators import _risk_draws
 from arealrisk.metrics import (
     crps_empirical,
     evaluate_holdout,
@@ -113,7 +116,7 @@ class TestForecastRisks:
         d = panel_dataset()
         s = dynamic_samples("is", D=200, rho=1.0 - 1e-12, omega=1e-24,
                             alpha_last=0.3)
-        r = forecast_risks(s, d, seed=0)
+        r = forecast_risks(s, d, seed=0)["r_is"]
         expected = np.exp(-2.0 + 0.3)
         assert r == pytest.approx(np.full((200, 3), expected), rel=1e-5)
 
@@ -121,7 +124,7 @@ class TestForecastRisks:
         d = panel_dataset()
         omega = 0.09
         s = dynamic_samples("is", D=50_000, rho=0.0, omega=omega, alpha_last=5.0)
-        r = forecast_risks(s, d, seed=1)
+        r = forecast_risks(s, d, seed=1)["r_is"]
         alpha_next = np.log(r[:, 0]) + 2.0  # invert exp(beta + phi + alpha)
         assert abs(alpha_next.mean()) < 3.0 * np.sqrt(omega / alpha_next.size)
         assert alpha_next.var() == pytest.approx(omega, rel=0.05)
@@ -131,7 +134,7 @@ class TestForecastRisks:
         rho, omega, alpha_T = 0.7, 0.04, 0.4
         s = dynamic_samples("is", D=100_000, rho=rho, omega=omega,
                             alpha_last=alpha_T)
-        r = forecast_risks(s, d, seed=2)
+        r = forecast_risks(s, d, seed=2)["r_is"]
         alpha_next = np.log(r[:, 0]) + 2.0
         se = np.sqrt(omega / alpha_next.size)
         assert abs(alpha_next.mean() - rho * alpha_T) < 3.0 * se
@@ -146,21 +149,43 @@ class TestForecastRisks:
     def test_cg_weighted_mean_identity(self):
         d = panel_dataset()
         s = dynamic_samples("cg", D=300)
-        r = forecast_risks(s, d, estimator="r_cg", seed=3)
+        r = forecast_risks(s, d, seed=3)["r_cg"]
         n_new = d.n[:, -1]
         assert r @ n_new / n_new.sum() == pytest.approx(np.ones(300), rel=1e-12)
 
-    def test_estimator_family_mismatch(self):
-        d = panel_dataset()
-        s = dynamic_samples("cg", D=200)
-        with pytest.raises(TypeError):
-            forecast_risks(s, d, estimator="r_is", seed=0)
+    @settings(max_examples=60, deadline=None)
+    @given(link=st.sampled_from(["logit", "cloglog", "skewed_logit"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cg_weighted_mean_identity_property(self, link, seed):
+        # sum_i n_i r_cg,i = sum_i n_i within every draw, fitted or forecast
+        rng = np.random.default_rng(seed)
+        I, T, D = 5, 4, 20
+        ids = [f"g{i}" for i in range(I)]
+        x = np.concatenate([np.ones((I, T, 1)), rng.normal(size=(I, T, 1))], axis=-1)
+        d = Dataset(ids, rng.integers(1, 30, size=(I, T)),
+                    rng.uniform(0.5, 1e5, size=(I, T)), x, times=tuple(range(T)))
+        c0 = 0.004 if link == "skewed_logit" else None
+        beta = rng.normal(scale=2.0, size=(D, 2))
+        phi = rng.normal(size=(D, I))
+        dyn = make_samples(ModelSpec("cg", link=link, c0=c0, temporal="dynamic_ar1"),
+                           beta, phi, ids, alpha=rng.normal(size=(D, T - 1)),
+                           rho=rng.uniform(-1.0, 1.0, size=D),
+                           omega=rng.uniform(0.01, 1.0, size=D),
+                           times=tuple(range(T - 1)))
+        sta = make_samples(ModelSpec("cg", link=link, c0=c0), beta, phi, ids)
+        checks = [(_risk_draws(dyn, d.time_prefix(T - 1), t)["r_cg"], d.n[:, t])
+                  for t in range(T - 1)]
+        checks.append((_risk_draws(sta, d.time_slice(0))["r_cg"], d.n[:, 0]))
+        checks.append((forecast_risks(dyn, d, seed=seed)["r_cg"], d.n[:, -1]))
+        for r, n in checks:
+            np.testing.assert_allclose(r @ n, np.full(D, n.sum()), rtol=1e-12)
 
-    def test_multi_horizon_rejected(self):
+    def test_estimator_family_mismatch(self):
+        # a forecast gives exactly the estimators its family's fit gives
         d = panel_dataset()
-        s = dynamic_samples("is", D=200)
-        with pytest.raises(ValueError):
-            forecast_risks(s, d, horizon=2)
+        for family, tags in (("is", {"r_is"}), ("cg", {"r_cg_tilde", "r_cg"})):
+            s = dynamic_samples(family, D=200)
+            assert set(forecast_risks(s, d, seed=0)) == tags
 
 
 class TestEvaluateHoldout:

@@ -92,6 +92,21 @@ class TestInternalStandardization:
             E = internal_standardization(d)
             assert E.sum() == pytest.approx(d.y.sum(), rel=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(I=st.integers(1, 60), panel=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sum_identity_fractional_populations(self, I, panel, seed):
+        # sum(E) = sum(Y) within every slice, up to rounding
+        rng = np.random.default_rng(seed)
+        shape = (I, 3) if panel else (I,)
+        y = rng.integers(0, 50, size=shape)
+        y[0] += 1  # every slice has a positive total
+        n = rng.uniform(0.5, 1e6, size=shape)
+        d = Dataset([f"r{i}" for i in range(I)], y, n, np.ones(shape + (1,)),
+                    times=(1990, 1991, 1992) if panel else None)
+        E = internal_standardization(d)
+        np.testing.assert_allclose(E.sum(axis=0), y.sum(axis=0), rtol=1e-12)
+
     def test_all_zero_panel_slice_rejected(self):
         y = np.array([[3, 0], [1, 0]])
         n = np.full((2, 2), 10.0)

@@ -15,7 +15,6 @@ from arealrisk.model import (
     ModelSpec,
     _eta,
     _poisson_terms,
-    internal_standardization,
 )
 from arealrisk.sampler import (
     SamplerConfig,
@@ -88,22 +87,21 @@ class TestFullConditionalConsistency:
         rng = np.random.default_rng(2024)
         for _ in range(25):
             graph, data = random_static_problem(rng)
-            E = internal_standardization(data) if spec.family == "is" else None
             st = random_state(rng, 4, 2)
             i = int(rng.integers(0, 4))
             a, b = rng.normal(scale=0.8, size=2)
 
             t_diff = phi_log_target(data, graph, spec, st["beta"], st["phi"],
-                                    st["tau"], i, a, E=E) - \
+                                    st["tau"], i, a) - \
                 phi_log_target(data, graph, spec, st["beta"], st["phi"],
-                               st["tau"], i, b, E=E)
+                               st["tau"], i, b)
 
             phi_a, phi_b = st["phi"].copy(), st["phi"].copy()
             phi_a[i], phi_b[i] = a, b
             j_diff = joint_log_posterior(data, graph, spec, st["beta"], phi_a,
-                                         st["tau"], E=E) - \
+                                         st["tau"]) - \
                 joint_log_posterior(data, graph, spec, st["beta"], phi_b,
-                                    st["tau"], E=E)
+                                    st["tau"])
             assert t_diff == pytest.approx(j_diff, abs=1e-9)
 
     @pytest.mark.parametrize("spec", SPECS_STATIC, ids=lambda s: f"{s.family}-{s.link}")
@@ -111,19 +109,18 @@ class TestFullConditionalConsistency:
         rng = np.random.default_rng(4048)
         for _ in range(25):
             graph, data = random_static_problem(rng)
-            E = internal_standardization(data) if spec.family == "is" else None
             st = random_state(rng, 4, 2)
             j = int(rng.integers(0, 2))
             beta_a, beta_b = st["beta"].copy(), st["beta"].copy()
             beta_a[j] += rng.normal()
             beta_b[j] += rng.normal()
 
-            t_diff = beta_log_target(data, spec, beta_a, st["phi"], E=E) - \
-                beta_log_target(data, spec, beta_b, st["phi"], E=E)
+            t_diff = beta_log_target(data, spec, beta_a, st["phi"]) - \
+                beta_log_target(data, spec, beta_b, st["phi"])
             j_diff = joint_log_posterior(data, graph, spec, beta_a, st["phi"],
-                                         st["tau"], E=E) - \
+                                         st["tau"]) - \
                 joint_log_posterior(data, graph, spec, beta_b, st["phi"],
-                                    st["tau"], E=E)
+                                    st["tau"])
             assert t_diff == pytest.approx(j_diff, abs=1e-9)
 
     @pytest.mark.parametrize("family", ["cg", "is"])
@@ -133,24 +130,22 @@ class TestFullConditionalConsistency:
                          temporal="dynamic_ar1")
         for _ in range(25):
             graph, data = random_panel_problem(rng)
-            E = internal_standardization(data) if family == "is" else None
             st = random_state(rng, 4, 1, T=4)
             t = int(rng.integers(0, 4))
             a, b = rng.normal(scale=0.6, size=2)
 
             t_diff = alpha_log_target(data, spec, st["beta"], st["phi"],
                                       st["alpha"], st["rho"], st["omega"],
-                                      t, a, E=E) - \
+                                      t, a) - \
                 alpha_log_target(data, spec, st["beta"], st["phi"], st["alpha"],
-                                 st["rho"], st["omega"], t, b, E=E)
+                                 st["rho"], st["omega"], t, b)
 
             al_a, al_b = st["alpha"].copy(), st["alpha"].copy()
             al_a[t], al_b[t] = a, b
             j_diff = joint_log_posterior(data, graph, spec, st["beta"], st["phi"],
-                                         st["tau"], al_a, st["rho"], st["omega"],
-                                         E=E) - \
+                                         st["tau"], al_a, st["rho"], st["omega"]) - \
                 joint_log_posterior(data, graph, spec, st["beta"], st["phi"],
-                                    st["tau"], al_b, st["rho"], st["omega"], E=E)
+                                    st["tau"], al_b, st["rho"], st["omega"])
             assert t_diff == pytest.approx(j_diff, abs=1e-9)
 
     def test_phi_dynamic(self):
