@@ -413,11 +413,11 @@ def cmd_forecast(args) -> int:
                   for tag, draws in _risk_draws(dyn, fit_panel, t_hold - 1).items()}
         s_lens = {tag: summarize(draws, panel.region_ids, tag, args.level).length
                   for tag, draws in _risk_draws(sta, last_fitted).items()}
+        # one set of AR(1) innovations per family, shared by its tags
+        preds = forecast_risks(dyn, panel, seed=derive_seed(seed, "forecast", family))
         for tag, d_len in d_lens.items():
             s_len = s_lens[tag]
-            pred = forecast_risks(
-                dyn, panel, seed=derive_seed(seed, "forecast", family, tag))[tag]
-            ev = evaluate_holdout(pred, observed, level=args.level,
+            ev = evaluate_holdout(preds[tag], observed, level=args.level,
                                   region_ids=panel.region_ids)
             report["estimators"][tag] = {
                 "rho_hat": float(dyn.rho.mean()),

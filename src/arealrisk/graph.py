@@ -14,7 +14,6 @@ import csv
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "AdjacencyGraph",
@@ -52,17 +51,14 @@ class AdjacencyGraph:
         seen = set()
         for i, j in edges:
             i, j = int(i), int(j)
-            if i == j:
-                raise GraphStructureError(f"self-loop at region {ids[i]!r}")
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphStructureError(f"edge ({i},{j}) out of range")
+            if i == j:
+                raise GraphStructureError(f"self-loop at region {ids[i]!r}")
             seen.add((min(i, j), max(i, j)))
         edge_arr = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
 
-        degrees = np.zeros(n, dtype=np.int64)
-        if edge_arr.size:
-            np.add.at(degrees, edge_arr[:, 0], 1)
-            np.add.at(degrees, edge_arr[:, 1], 1)
+        degrees = np.bincount(edge_arr.ravel(), minlength=n)
         islands = [ids[i] for i in np.nonzero(degrees == 0)[0]]
         if islands:
             raise GraphStructureError(
@@ -74,14 +70,15 @@ class AdjacencyGraph:
         self.edges = edge_arr
         self.degrees = degrees
         self._index = {r: i for i, r in enumerate(ids)}
-        self.edges.setflags(write=False)
-        self.degrees.setflags(write=False)
 
+        # compressed sparse rows: row i's neighbours, ascending, are
+        # _indices[_indptr[i]:_indptr[i + 1]]
         rows = np.concatenate([edge_arr[:, 0], edge_arr[:, 1]])
         cols = np.concatenate([edge_arr[:, 1], edge_arr[:, 0]])
-        self._adjacency = sp.csr_matrix(
-            (np.ones(rows.size), (rows, cols)), shape=(n, n)
-        )
+        self._indptr = np.concatenate([[0], np.cumsum(degrees)])
+        self._indices = cols[np.lexsort((cols, rows))]
+        for arr in (self.edges, self.degrees, self._indptr, self._indices):
+            arr.setflags(write=False)
 
         if self.n_components > 1:
             warnings.warn(
@@ -95,25 +92,30 @@ class AdjacencyGraph:
         return self.edges.shape[0]
 
     @property
-    def adjacency(self) -> sp.csr_matrix:
-        """Sparse symmetric 0/1 adjacency matrix."""
-        return self._adjacency
-
-    @property
     def n_components(self) -> int:
         if not hasattr(self, "_n_components"):
-            ncomp, _ = sp.csgraph.connected_components(self._adjacency, directed=False)
-            self._n_components = int(ncomp)
+            # Each region points at a smaller-or-equal one; a root points at
+            # itself. Every round hooks each root that borders a smaller root
+            # under the smallest such, then points every region at its root,
+            # until no edge joins two trees: the roots are the components.
+            u, v = self.edges.T
+            root = np.arange(self.n_regions)
+            while True:
+                ru, rv = root[u], root[v]
+                if np.array_equal(ru, rv):
+                    break
+                np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+                while not np.array_equal(root[root], root):
+                    root = root[root]
+            self._n_components = int(np.count_nonzero(root == np.arange(self.n_regions)))
         return self._n_components
 
     def index(self, region_id: str) -> int:
         return self._index[str(region_id)]
 
     def neighbors(self, i: int) -> np.ndarray:
-        """Indices of the regions adjacent to region ``i``."""
-        return self._adjacency.indices[
-            self._adjacency.indptr[i] : self._adjacency.indptr[i + 1]
-        ]
+        """Indices of the regions adjacent to region ``i``, ascending."""
+        return self._indices[self._indptr[i] : self._indptr[i + 1]]
 
     def coloring(self) -> list[np.ndarray]:
         """Partition regions into classes with no within-class adjacency.

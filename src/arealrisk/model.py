@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 __all__ = [
     "Dataset",
@@ -37,7 +36,8 @@ TEMPORAL_MODES = ("static", "dynamic_ar1")
 # probabilities are clamped away from {0,1} so Poisson means stay positive
 PROB_EPS = 1e-12
 
-# log IS means above this would overflow exp()
+# arguments above this would overflow exp(): log IS means, cloglog's eta
+# and logit's -eta are capped here
 _ETA_MAX = 700.0
 
 
@@ -216,16 +216,21 @@ def apply_link(link: str, eta, c0: float | None = None) -> np.ndarray:
     """
     eta = np.asarray(eta, dtype=float)
     if link == "logit":
-        p = expit(eta)
+        p = _expit(eta)
     elif link == "cloglog":
-        p = -np.expm1(-np.exp(np.minimum(eta, 700.0)))
+        p = -np.expm1(-np.exp(np.minimum(eta, _ETA_MAX)))
     elif link == "skewed_logit":
         if c0 is None or not c0 > 0:
             raise ValueError("skewed_logit requires c0 > 0")
-        p = expit(eta + np.log(c0))
+        p = _expit(eta + np.log(c0))
     else:
         raise ValueError(f"unknown link {link!r}")
     return p.clip(PROB_EPS, 1.0 - PROB_EPS)  # the method skips np.clip's wrapper
+
+
+def _expit(eta):
+    """The logistic function 1/(1+e^-eta), without an overflow warning."""
+    return 1.0 / (1.0 + np.exp(-np.maximum(eta, -_ETA_MAX)))
 
 
 def _eta(xb, phi, alpha=None):
@@ -257,6 +262,9 @@ def _poisson_terms(y, n, eta, spec: ModelSpec, E=None):
 def _log_likelihood(dataset: Dataset, spec: ModelSpec, beta, phi, alpha=None,
                     E=None) -> float:
     """Summed Poisson terms plus the log(Y!) constants."""
+    # imported here: no sweep needs the constants, so the CLI never loads SciPy
+    from scipy.special import gammaln
+
     beta = np.asarray(beta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if alpha is not None:

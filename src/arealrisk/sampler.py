@@ -21,7 +21,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .graph import AdjacencyGraph, car_log_kernel, car_pairwise_sum
 from .model import (
@@ -159,10 +158,23 @@ class _FitContext:
         self.n = dataset.n
         self.x = dataset.x
         self.colors = graph.coloring()
-        self.color_rows = [graph.adjacency[idx] for idx in self.colors]
+        # per class: each CSR entry's row within the class, and its neighbour
+        self.color_nbrs = [
+            (np.repeat(np.arange(idx.size), graph.degrees[idx]),
+             np.concatenate([graph.neighbors(i) for i in idx]))
+            for idx in self.colors
+        ]
         self.deg = graph.degrees.astype(float)
         self.color_deg = [self.deg[idx] for idx in self.colors]
         self.intercept = dataset.intercept_column
+
+    def neighbor_sums(self, k, phi):
+        """Sum of ``phi`` over each neighbour of colour class ``k``'s regions.
+
+        Each row is summed from 0.0 in CSR order, as a CSR mat-vec sums it.
+        """
+        rows, cols = self.color_nbrs[k]
+        return np.bincount(rows, weights=phi.take(cols), minlength=self.colors[k].size)
 
     def xb(self, beta):
         return self.x @ beta  # (I,) static, (I, T) dynamic
@@ -291,6 +303,8 @@ def joint_log_posterior(dataset, graph, spec, beta, phi, tau,
     + flat prior on beta; dynamic fits add the AR(1) density of alpha and
     the omega^{-1} prior with a flat prior on rho over (-1, 1).
     """
+    from scipy.special import gammaln  # see model._log_likelihood
+
     a, b = spec.tau_prior
     out = beta_log_target(dataset, spec, beta, phi, alpha)
     out += car_log_kernel(graph, phi, tau)
@@ -384,10 +398,10 @@ class _ChainRunner:
         # on its own phi and each region is in one class, so the reads stay
         # valid through the block; the recentering below leaves the cache
         # stale until update_beta rebuilds it.
-        for idx, rows, deg in zip(ctx.colors, ctx.color_rows, ctx.color_deg):
+        for k, (idx, deg) in enumerate(zip(ctx.colors, ctx.color_deg)):
             cur = st.phi[idx]
             prop = cur + scales[idx] * self.rng.standard_normal(idx.size)
-            nbr_mean = (rows @ st.phi) / deg
+            nbr_mean = ctx.neighbor_sums(k, st.phi) / deg
             d_prior = -0.5 * tau * deg * (
                 (prop - nbr_mean) ** 2 - (cur - nbr_mean) ** 2
             )

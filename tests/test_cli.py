@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +10,8 @@ import pytest
 
 from arealrisk.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run_cli(*argv):
@@ -447,3 +451,56 @@ class TestLevelCheckedUpFront:
     def test_study_flag(self, tmp_path, capsys, no_sampling):
         rc = run_cli("study", "--level", 1.5, "--out", tmp_path)
         self.assert_rejected(rc, capsys)
+
+
+# runs the CLI, then reports on stderr every scipy module the process loaded
+_SCIPY_GUARD = """
+import json, sys
+from arealrisk.cli import main
+rc = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")),
+      file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+class TestNoScipyOnCliPath:
+    """Every subcommand runs without importing SciPy, during or after set-up."""
+
+    @pytest.fixture(scope="class")
+    def fits(self, lattice_files, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fits")
+        for family in ("cg", "is"):
+            rc = run_cli("fit", "--data", lattice_files / "dataset.csv",
+                         "--adjacency", lattice_files / "adjacency.csv",
+                         "--family", family, *FAST, "--out", root / family)
+            assert rc == 0
+        return root
+
+    @pytest.mark.parametrize("command", ["fit", "print-config", "simulate", "study",
+                                         "forecast", "compare"])
+    def test_scipy_never_imported(self, command, lattice_files, panel_file, fits,
+                                  tmp_path):
+        fit = ["fit", "--data", lattice_files / "dataset.csv",
+               "--adjacency", lattice_files / "adjacency.csv", "--family", "cg", *FAST]
+        (tmp_path / "study.ini").write_text(
+            "[graph]\nlattice = 3\n[study]\nreplicates = 2\n"
+            "[sampler]\niterations = 300\nburn_in = 100\nadapt_window = 50\n")
+        argv = {
+            "fit": fit,
+            "print-config": fit + ["--print-config"],
+            "simulate": ["simulate", "--lattice", 3],
+            "study": ["study", "--config", tmp_path / "study.ini"],
+            "forecast": ["forecast", "--data", panel_file / "panel.csv",
+                         "--adjacency", panel_file / "adjacency.csv", "--family", "both",
+                         *FAST],
+            "compare": ["compare", "--left", fits / "cg" / "summary.csv",
+                        "--right", fits / "is" / "summary.csv"],
+        }[command] + ["--out", tmp_path / "out"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr.splitlines()[-1]) == []

@@ -1,7 +1,11 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from arealrisk.graph import (
     AdjacencyGraph,
@@ -10,6 +14,8 @@ from arealrisk.graph import (
     car_pairwise_sum,
     load_adjacency,
 )
+from arealrisk.model import Dataset, ModelSpec
+from arealrisk.sampler import _FitContext
 
 
 def path_graph():
@@ -31,7 +37,9 @@ def random_graph(rng, n):
 
 def brute_force_pairwise_sum(graph, phi):
     # double loop over all ordered pairs, halved
-    W = graph.adjacency.toarray()
+    W = np.zeros((graph.n_regions, graph.n_regions))
+    W[graph.edges[:, 0], graph.edges[:, 1]] = 1.0
+    W[graph.edges[:, 1], graph.edges[:, 0]] = 1.0
     total = 0.0
     for i in range(graph.n_regions):
         for j in range(graph.n_regions):
@@ -88,6 +96,16 @@ class TestConstruction:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphStructureError, match="self-loop"):
             AdjacencyGraph(["A", "B"], [(0, 0), (0, 1)])
+
+    @pytest.mark.parametrize("edges, bad", [
+        ([(7, 7)], "(7,7)"),
+        ([(-1, -1), (0, 1), (1, 2)], "(-1,-1)"),
+        ([(0, 1), (1, 3)], "(1,3)"),
+    ])
+    def test_out_of_range_edge_named(self, edges, bad):
+        # the range is checked before the self-loop, which would index ids
+        with pytest.raises(GraphStructureError, match=re.escape(f"edge {bad} out of range")):
+            AdjacencyGraph(["a", "b", "c"], edges)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(GraphStructureError, match="unique"):
@@ -207,3 +225,61 @@ class TestColoring:
                     edges.append((i, i + 4))
         g = AdjacencyGraph([str(i) for i in range(16)], edges)
         assert len(g.coloring()) == 2
+
+
+@hst.composite
+def hub_graphs(draw):
+    """Random island-free graphs, possibly disconnected, with a hub of degree > 8."""
+    n = draw(hst.integers(12, 40))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    hub = int(rng.integers(n))
+    others = np.delete(np.arange(n), hub)
+    edges = [(hub, int(j)) for j in rng.choice(others, size=draw(hst.integers(9, n - 1)),
+                                                replace=False)]
+    # every other region gets one random partner; extra edges and duplicates too
+    edges += [(int(i), int(rng.choice(np.delete(np.arange(n), i)))) for i in range(n)]
+    edges += [tuple(int(v) for v in rng.choice(n, 2, replace=False))
+              for _ in range(draw(hst.integers(0, n)))]
+    edges += edges[: draw(hst.integers(0, 5))]
+    # a few separate paths, then the indices shuffled
+    for size in draw(hst.lists(hst.integers(2, 5), max_size=3)):
+        edges += [(n + k, n + k + 1) for k in range(size - 1)]
+        n += size
+    perm = rng.permutation(n)
+    edges = [(int(perm[i]), int(perm[j])) for i, j in edges]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # disconnected maps warn
+        return AdjacencyGraph([f"r{i}" for i in range(n)], edges)
+
+
+def scipy_csr(graph):
+    e = graph.edges
+    rows = np.concatenate([e[:, 0], e[:, 1]])
+    cols = np.concatenate([e[:, 1], e[:, 0]])
+    n = graph.n_regions
+    return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+
+
+class TestOwnCsrAgainstScipy:
+    """The graph's CSR kernels equal SciPy's, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=hub_graphs(), seed=hst.integers(0, 2**32 - 1))
+    def test_class_neighbor_sums(self, graph, seed):
+        assert graph.degrees.max() > 8
+        ctx = _FitContext(Dataset(graph.region_ids, np.ones(graph.n_regions, int),
+                                  np.ones(graph.n_regions), np.ones((graph.n_regions, 1))),
+                          graph, ModelSpec("is"))
+        phi = np.random.default_rng(seed).normal(scale=3.0, size=graph.n_regions)
+        W = scipy_csr(graph)
+        for k, idx in enumerate(graph.coloring()):
+            assert np.array_equal(ctx.neighbor_sums(k, phi), W[idx] @ phi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=hub_graphs())
+    def test_neighbors_and_components(self, graph):
+        W = scipy_csr(graph)
+        for i in range(graph.n_regions):
+            assert np.array_equal(graph.neighbors(i), W.indices[W.indptr[i]:W.indptr[i + 1]])
+        n_comp, _ = sp.csgraph.connected_components(W, directed=False)
+        assert graph.n_components == n_comp

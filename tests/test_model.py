@@ -1,15 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import expit, gammaln
 from scipy.stats import poisson
 
 from arealrisk.estimators import _slice_eta
 from arealrisk.model import (
+    PROB_EPS,
     Dataset,
     ModelSpec,
     _eta,
+    _expit,
     _poisson_terms,
     apply_link,
     internal_standardization,
@@ -145,6 +149,26 @@ class TestLinks:
     def test_skewed_requires_c0(self):
         with pytest.raises(ValueError):
             apply_link("skewed_logit", 0.0)
+
+    @pytest.mark.parametrize("link,c0", [("logit", None), ("skewed_logit", 0.004)])
+    def test_numpy_logistic_matches_scipy_expit(self, link, c0):
+        # NumPy's exp may differ from libm's in the last bit. Every probability
+        # the clamp lets through is within 2 ulp of SciPy's; where it binds
+        # (below p ~ 1e-16 the sum 1 + e^-eta can round a tie, 3 ulp off), the
+        # clamped probabilities are equal
+        grid = np.linspace(-40.0, 40.0, 8001)
+        eta = np.concatenate([grid, [-1e4, 1e4]])
+        shift = 0.0 if c0 is None else np.log(c0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = _expit(eta + shift)
+            p = apply_link(link, eta, c0)
+        ref = expit(eta + shift)
+        clamped = (ref < PROB_EPS) | (ref > 1.0 - PROB_EPS)
+        assert clamped[-2:].all() and not clamped.all()
+        ulps = np.abs(ours.view(np.int64) - ref.view(np.int64))
+        assert ulps[~clamped].max() <= 2
+        assert np.array_equal(p, np.where(clamped, ref.clip(PROB_EPS, 1.0 - PROB_EPS), ours))
 
 
 class TestModelSpec:
