@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -48,15 +49,17 @@ class AdjacencyGraph:
             raise GraphStructureError("region ids must be unique")
         n = len(ids)
 
-        seen = set()
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if not (0 <= i < n and 0 <= j < n):
+        pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+        out_of_range = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        bad = np.flatnonzero(out_of_range | (pairs[:, 0] == pairs[:, 1]))
+        if bad.size:  # the first bad edge in input order is named
+            i, j = pairs[bad[0]]
+            if out_of_range[bad[0]]:
                 raise GraphStructureError(f"edge ({i},{j}) out of range")
-            if i == j:
-                raise GraphStructureError(f"self-loop at region {ids[i]!r}")
-            seen.add((min(i, j), max(i, j)))
-        edge_arr = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
+            raise GraphStructureError(f"self-loop at region {ids[i]!r}")
+        pairs.sort(axis=1)
+        key = np.unique(pairs[:, 0] * n + pairs[:, 1])  # sorts (lo, hi) pairs
+        edge_arr = np.column_stack([key // n, key % n])
 
         degrees = np.bincount(edge_arr.ravel(), minlength=n)
         islands = [ids[i] for i in np.nonzero(degrees == 0)[0]]

@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import AdjacencyGraph, car_log_kernel, car_pairwise_sum
+from .graph import AdjacencyGraph, car_pairwise_sum
 from .model import (
     Dataset,
     ModelSpec,
     _eta,
-    _log_likelihood,
     _poisson_terms,
     _write_json,
     internal_standardization,
@@ -37,10 +36,6 @@ __all__ = [
     "SamplerConfig",
     "PosteriorSamples",
     "run_chain",
-    "joint_log_posterior",
-    "phi_log_target",
-    "beta_log_target",
-    "alpha_log_target",
     "ar1_log_prior",
     "tau_posterior_params",
     "omega_posterior_params",
@@ -131,7 +126,8 @@ class PosteriorSamples:
 
 
 # ---------------------------------------------------------------------------
-# log-target pieces shared by the sweep code and the consistency checks
+# full-conditional pieces: each Metropolis block's log acceptance ratio is one
+# function, which the sweep calls and criterion 2 checks against a joint density
 
 
 class _FitContext:
@@ -164,8 +160,7 @@ class _FitContext:
              np.concatenate([graph.neighbors(i) for i in idx]))
             for idx in self.colors
         ]
-        self.deg = graph.degrees.astype(float)
-        self.color_deg = [self.deg[idx] for idx in self.colors]
+        self.color_deg = [graph.degrees[idx].astype(float) for idx in self.colors]
         self.intercept = dataset.intercept_column
 
     def neighbor_sums(self, k, phi):
@@ -200,30 +195,6 @@ class _FitContext:
         E = None if self.E is None else self.E[:, t]
         eta = _eta(beta_xb[:, t], phi, alpha_t)
         return _poisson_terms(self.y[:, t], self.n[:, t], eta, self.spec, E)
-
-
-def phi_log_target(dataset, graph, spec, beta, phi, tau, i, value,
-                   alpha=None) -> float:
-    """Log full-conditional of one spatial effect, up to a constant.
-
-    CAR conditional term plus region ``i``'s likelihood contribution with
-    phi_i set to ``value``; all other parameters held at the given state.
-    """
-    ctx = _FitContext(dataset, graph, spec)
-    phi = np.asarray(phi, dtype=float)
-    nbrs = graph.neighbors(i)
-    nbr_mean = float(phi[nbrs].mean())
-    prior = -0.5 * tau * ctx.deg[i] * (value - nbr_mean) ** 2
-    idx = np.array([i])
-    lik = ctx.region_loglik(idx, np.array([value]), ctx.xb(np.asarray(beta, float)),
-                            None if alpha is None else np.asarray(alpha, float))
-    return float(prior + lik[0])
-
-
-def beta_log_target(dataset, spec, beta, phi, alpha=None) -> float:
-    """Log full-conditional of the regression coefficients (flat prior)."""
-    E = internal_standardization(dataset) if spec.family == "is" else None
-    return _log_likelihood(dataset, spec, beta, phi, alpha, E)
 
 
 def ar1_log_prior(alpha, rho, omega) -> float:
@@ -262,17 +233,54 @@ def _ar1_conditional(alpha, t, value, rho, omega) -> float:
     return out
 
 
-def alpha_log_target(dataset, spec, beta, phi, alpha, rho, omega, t, value) -> float:
-    """Log full-conditional of one temporal effect, up to a constant.
+def _phi_log_ratio(ctx, st, k, prop, xb, terms):
+    """Log acceptance ratios of colour class ``k``'s phi moving to ``prop``.
 
-    AR(1) terms involving alpha_t plus the likelihood of time slice t.
+    One entry per region of the class: its CAR conditional difference plus
+    its likelihood difference, the current side read from the carried
+    per-cell ``terms`` of the state ``st`` (whose x @ beta is ``xb``).
     """
-    prior = _ar1_conditional(np.asarray(alpha, dtype=float), t, value, rho, omega)
-    E_t = internal_standardization(dataset)[:, t] if spec.family == "is" else None
-    eta = _eta(dataset.x[:, t, :] @ np.asarray(beta, float), np.asarray(phi, float),
-               value)
-    lik = _poisson_terms(dataset.y[:, t], dataset.n[:, t], eta, spec, E_t).sum()
-    return float(prior + lik)
+    idx, deg = ctx.colors[k], ctx.color_deg[k]
+    cur = st.phi[idx]
+    nbr_mean = ctx.neighbor_sums(k, st.phi) / deg
+    d_prior = -0.5 * st.tau * deg * ((prop - nbr_mean) ** 2 - (cur - nbr_mean) ** 2)
+    cur_lik = terms.take(idx, axis=0)
+    if ctx.dataset.is_dynamic:
+        cur_lik = cur_lik.sum(axis=1)
+    d_lik = ctx.region_loglik(idx, prop, xb, st.alpha) - cur_lik
+    return d_prior + d_lik
+
+
+def _beta_log_ratio(ctx, st, prop, cur_ll):
+    """Log acceptance ratio of the coefficients moving to ``prop`` (flat prior).
+
+    ``cur_ll`` is the state's summed likelihood terms. Also returns the
+    proposal's (x @ beta, per-cell terms, summed terms), carried on acceptance.
+    """
+    prop_xb = ctx.xb(prop)
+    prop_terms = ctx.terms(prop_xb, st.phi, st.alpha)
+    prop_ll = float(prop_terms.sum())
+    return prop_ll - cur_ll, (prop_xb, prop_terms, prop_ll)
+
+
+def _alpha_log_ratio(ctx, st, t, prop, xb, terms):
+    """Log acceptance ratio of alpha_t moving to ``prop``, and slice t's new terms.
+
+    AR(1) terms involving alpha_t plus the likelihood of slice t, the
+    current side read from the carried per-cell ``terms``.
+    """
+    d_prior = (_ar1_conditional(st.alpha, t, prop, st.rho, st.omega)
+               - _ar1_conditional(st.alpha, t, st.alpha[t], st.rho, st.omega))
+    prop_terms = ctx.slice_terms(t, xb, st.phi, prop)
+    d_lik = float(prop_terms.sum()) - float(terms[:, t].sum())
+    return d_prior + d_lik, prop_terms
+
+
+def _rho_log_ratio(st, prop):
+    """Log acceptance ratio of rho moving to ``prop`` (flat prior on (-1, 1))."""
+    return ar1_log_prior(st.alpha, prop, st.omega) - ar1_log_prior(
+        st.alpha, st.rho, st.omega
+    )
 
 
 def tau_posterior_params(graph: AdjacencyGraph, phi, a: float, b: float):
@@ -295,29 +303,7 @@ def omega_posterior_params(alpha, rho: float):
     return 0.5 * T, 0.5 * q
 
 
-def joint_log_posterior(dataset, graph, spec, beta, phi, tau,
-                        alpha=None, rho=None, omega=None) -> float:
-    """Log joint posterior density up to the normalizing constant.
-
-    Likelihood (constants retained) + CAR kernel + Gamma(a, b) prior on tau
-    + flat prior on beta; dynamic fits add the AR(1) density of alpha and
-    the omega^{-1} prior with a flat prior on rho over (-1, 1).
-    """
-    from scipy.special import gammaln  # see model._log_likelihood
-
-    a, b = spec.tau_prior
-    out = beta_log_target(dataset, spec, beta, phi, alpha)
-    out += car_log_kernel(graph, phi, tau)
-    out += a * np.log(b) - gammaln(a) + (a - 1.0) * np.log(tau) - b * tau
-    if spec.is_dynamic:
-        if alpha is None or rho is None or omega is None:
-            raise ValueError("dynamic joint posterior needs alpha, rho, omega")
-        out += ar1_log_prior(alpha, rho, omega)
-        out += -np.log(omega)  # pi(rho, omega) = omega^{-1} on (-1,1) x (0,inf)
-    return float(out)
-
-
-def adapt_scales(scales, accepted, proposed, target=(0.15, 0.40)):
+def adapt_scales(scales, accepted, proposed, target):
     """Rescale proposal standard deviations from windowed acceptance rates.
 
     Below the band multiplies by 0.8; above it by 1.25; inside leaves the
@@ -389,27 +375,17 @@ class _ChainRunner:
     def update_phi_block(self):
         st = self.state
         ctx = self.ctx
-        xb = self.xb
-        terms = self.terms
         scales = st.proposal_scales["phi"]
         accepted = st.acceptance_counts["phi"]
-        tau = st.tau
         # The cache is read, never written, here. A region's terms depend only
         # on its own phi and each region is in one class, so the reads stay
         # valid through the block; the recentering below leaves the cache
         # stale until update_beta rebuilds it.
-        for k, (idx, deg) in enumerate(zip(ctx.colors, ctx.color_deg)):
+        for k, idx in enumerate(ctx.colors):
             cur = st.phi[idx]
             prop = cur + scales[idx] * self.rng.standard_normal(idx.size)
-            nbr_mean = ctx.neighbor_sums(k, st.phi) / deg
-            d_prior = -0.5 * tau * deg * (
-                (prop - nbr_mean) ** 2 - (cur - nbr_mean) ** 2
-            )
-            cur_lik = terms.take(idx, axis=0)
-            if self.dynamic:
-                cur_lik = cur_lik.sum(axis=1)
-            d_lik = ctx.region_loglik(idx, prop, xb, st.alpha) - cur_lik
-            delta = self._finite_or_reject(d_prior + d_lik, "phi")
+            delta = self._finite_or_reject(
+                _phi_log_ratio(ctx, st, k, prop, self.xb, self.terms), "phi")
             accept = np.log(self.rng.random(idx.size)) < delta
             st.phi[idx] = np.where(accept, prop, cur)
             accepted[idx] += accept
@@ -430,14 +406,11 @@ class _ChainRunner:
         for j in range(st.beta.size):
             prop = st.beta.copy()
             prop[j] += scales[j] * self.rng.standard_normal()
-            prop_xb = ctx.xb(prop)
-            prop_terms = ctx.terms(prop_xb, st.phi, st.alpha)
-            prop_ll = float(prop_terms.sum())
-            delta = prop_ll - cur_ll
+            delta, carry = _beta_log_ratio(ctx, st, prop, cur_ll)
             if not delta < np.inf:
                 delta = self._finite_or_reject(np.array([delta]), "beta")[0]
             if np.log(self.rng.random()) < delta:
-                st.beta, xb, terms, cur_ll = prop, prop_xb, prop_terms, prop_ll
+                st.beta, (xb, terms, cur_ll) = prop, carry
                 st.acceptance_counts["beta"][j] += 1
             st.proposal_counts["beta"][j] += 1
         self.xb = xb
@@ -451,19 +424,11 @@ class _ChainRunner:
 
     def update_alpha(self):
         st = self.state
-        ctx = self.ctx
-        xb = self.xb
         terms = self.terms
         scales = st.proposal_scales["alpha"]
-        rho, omega = st.rho, st.omega
         for t in range(self.T):
-            cur = st.alpha[t]
-            prop = cur + scales[t] * self.rng.standard_normal()
-            d_prior = (_ar1_conditional(st.alpha, t, prop, rho, omega)
-                       - _ar1_conditional(st.alpha, t, cur, rho, omega))
-            prop_terms = ctx.slice_terms(t, xb, st.phi, prop)
-            d_lik = float(prop_terms.sum()) - float(terms[:, t].sum())
-            delta = d_prior + d_lik
+            prop = st.alpha[t] + scales[t] * self.rng.standard_normal()
+            delta, prop_terms = _alpha_log_ratio(self.ctx, st, t, prop, self.xb, terms)
             if not delta < np.inf:
                 delta = self._finite_or_reject(np.array([delta]), "alpha")[0]
             if np.log(self.rng.random()) < delta:
@@ -478,10 +443,7 @@ class _ChainRunner:
         st.proposal_counts["rho"][0] += 1
         if not -1.0 < prop < 1.0:
             return  # proposals outside the stationarity region are rejected
-        delta = ar1_log_prior(st.alpha, prop, st.omega) - ar1_log_prior(
-            st.alpha, st.rho, st.omega
-        )
-        if np.log(self.rng.random()) < delta:
+        if np.log(self.rng.random()) < _rho_log_ratio(st, prop):
             st.rho = float(prop)
             st.acceptance_counts["rho"][0] += 1
 

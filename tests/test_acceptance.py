@@ -5,6 +5,7 @@ behind criteria 5-8 uses default chain lengths and runs once per session;
 expect the full suite to take on the order of 15-25 minutes on one core.
 """
 
+import dataclasses
 import os
 import time
 
@@ -24,11 +25,9 @@ from arealrisk.model import (
     log_likelihood_is,
 )
 from arealrisk.sampler import (
+    ChainState,
     SamplerConfig,
-    alpha_log_target,
-    beta_log_target,
-    joint_log_posterior,
-    phi_log_target,
+    _FitContext,
     run_chain,
     tau_posterior_params,
 )
@@ -41,6 +40,7 @@ from arealrisk.simstudy import (
     simulate_counts,
     synthetic_populations,
 )
+from tests.test_sampler import alpha_check, beta_check, phi_check, rho_check
 
 MASTER_SEED = 20260810
 
@@ -147,6 +147,16 @@ def test_criterion_2_full_conditional_consistency():
                            np.column_stack([np.ones(I), rng.normal(size=I)]))
         return graph, data
 
+    # proposals beyond the seed-202 draws (the other regions' phi, and rho)
+    extra = np.random.default_rng(2021)
+
+    def check(ratio_and_diff):
+        nonlocal worst
+        ratio, diff = ratio_and_diff
+        err = float(np.max(np.abs(ratio - diff)))
+        if np.isnan(err) or err > worst:  # a NaN must fail the bound, not vanish
+            worst = err
+
     for pair in range(100):
         dynamic = pair % 2 == 1
         graph, data = random_problem(dynamic)
@@ -161,51 +171,42 @@ def test_criterion_2_full_conditional_consistency():
         alpha = rng.normal(scale=0.4, size=data.n_times) if dynamic else None
         rho = float(rng.uniform(-0.8, 0.8)) if dynamic else None
         omega = float(rng.uniform(0.05, 0.5)) if dynamic else None
+        ctx = _FitContext(data, graph, spec)
+        st = ChainState(beta, phi, tau, alpha, rho, omega)
 
-        def joint(b, ph, al):
-            return joint_log_posterior(data, graph, spec, b, ph, tau,
-                                       al, rho, omega)
-
-        # phi block
+        # phi block, every colour class: region i moves from bvl to a
         i = int(rng.integers(0, I))
         a, bvl = rng.normal(scale=0.7, size=2)
-        td = phi_log_target(data, graph, spec, beta, phi, tau, i, a,
-                            alpha=alpha) - \
-            phi_log_target(data, graph, spec, beta, phi, tau, i, bvl,
-                           alpha=alpha)
-        pa, pb = phi.copy(), phi.copy()
-        pa[i], pb[i] = a, bvl
-        jd = joint(beta, pa, alpha) - joint(beta, pb, alpha)
-        worst = max(worst, abs(td - jd))
+        st_phi = dataclasses.replace(st, phi=phi.copy())
+        st_phi.phi[i] = bvl
+        for c, idx in enumerate(ctx.colors):
+            prop = st_phi.phi[idx] + extra.normal(scale=0.7, size=idx.size)
+            prop[idx == i] = a
+            check(phi_check(ctx, st_phi, c, prop))
 
-        # beta block
+        # beta block: from bb to ba
         j = int(rng.integers(0, k))
         ba, bb = beta.copy(), beta.copy()
         ba[j] += rng.normal()
         bb[j] += rng.normal()
-        td = beta_log_target(data, spec, ba, phi, alpha) - \
-            beta_log_target(data, spec, bb, phi, alpha)
-        jd = joint(ba, phi, alpha) - joint(bb, phi, alpha)
-        worst = max(worst, abs(td - jd))
+        check(beta_check(ctx, dataclasses.replace(st, beta=bb), ba))
 
-        # alpha block
         if dynamic:
+            # alpha block: alpha_t from av2 to av1
             t = int(rng.integers(0, data.n_times))
             av1, av2 = rng.normal(scale=0.5, size=2)
-            td = alpha_log_target(data, spec, beta, phi, alpha, rho, omega,
-                                  t, av1) - \
-                alpha_log_target(data, spec, beta, phi, alpha, rho, omega,
-                                 t, av2)
-            aa, ab = alpha.copy(), alpha.copy()
-            aa[t], ab[t] = av1, av2
-            jd = joint(beta, phi, aa) - joint(beta, phi, ab)
-            worst = max(worst, abs(td - jd))
+            ab = alpha.copy()
+            ab[t] = av2
+            check(alpha_check(ctx, dataclasses.replace(st, alpha=ab), t, av1))
+            # rho block
+            check(rho_check(ctx, st, extra.uniform(-0.95, 0.95)))
 
     elapsed = time.perf_counter() - t0
     report(
         2,
         worst < 1e-9 and elapsed < 5.0,
-        f"block targets match joint differences on 100 random pairs "
+        f"the sweep's phi, beta, alpha and rho log ratios match joint "
+        f"differences on 100 random problems "
         f"(worst abs err {worst:.2e}, {elapsed:.2f}s < 5s)",
     )
 

@@ -107,6 +107,41 @@ class TestConstruction:
         with pytest.raises(GraphStructureError, match=re.escape(f"edge {bad} out of range")):
             AdjacencyGraph(["a", "b", "c"], edges)
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=hst.integers(2, 9), data=hst.data())
+    def test_edges_are_the_sorted_set_of_pairs(self, n, data):
+        node = hst.integers(0, n - 1)
+        pairs = data.draw(hst.lists(hst.tuples(node, node).filter(lambda p: p[0] != p[1]),
+                                    max_size=25))
+        # reversed copies and repeats of the drawn pairs, and a path so no region
+        # is an island, in random order
+        extra = data.draw(hst.lists(hst.sampled_from(pairs), max_size=10)) if pairs else []
+        edges = data.draw(hst.permutations(
+            pairs + [(j, i) for i, j in extra] + [(i, i + 1) for i in range(n - 1)]))
+        g = AdjacencyGraph([f"r{i}" for i in range(n)], edges)
+        expected = sorted({(min(i, j), max(i, j)) for i, j in edges})
+        assert g.edges.dtype == np.int64
+        assert g.edges.tolist() == [list(p) for p in expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(edges=hst.lists(hst.tuples(hst.integers(-2, 4), hst.integers(-2, 4)),
+                           min_size=1, max_size=12))
+    def test_first_bad_edge_named(self, edges):
+        ids = ["a", "b", "c"]
+        expected = None
+        for i, j in edges:  # input order; the range before the self-loop
+            if not (0 <= i < 3 and 0 <= j < 3):
+                expected = f"edge ({i},{j}) out of range"
+            elif i == j:
+                expected = f"self-loop at region {ids[i]!r}"
+            if expected:
+                break
+        if expected is None:
+            return  # no bad edge in this list
+        with pytest.raises(GraphStructureError) as err:
+            AdjacencyGraph(ids, edges)
+        assert str(err.value) == expected
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(GraphStructureError, match="unique"):
             AdjacencyGraph(["A", "A"], [(0, 1)])

@@ -7,25 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy import integrate
-from scipy.stats import invgamma
+from scipy.stats import gamma, invgamma, norm
 
-from arealrisk.graph import AdjacencyGraph
+from arealrisk import sampler
+from arealrisk.graph import AdjacencyGraph, car_log_kernel
 from arealrisk.model import (
     Dataset,
     ModelSpec,
     _eta,
     _poisson_terms,
+    internal_standardization,
+    log_likelihood_cg,
+    log_likelihood_is,
 )
 from arealrisk.sampler import (
+    ChainState,
     SamplerConfig,
+    _alpha_log_ratio,
+    _beta_log_ratio,
     _ChainRunner,
+    _FitContext,
+    _phi_log_ratio,
+    _rho_log_ratio,
     adapt_scales,
-    alpha_log_target,
     ar1_log_prior,
-    beta_log_target,
-    joint_log_posterior,
     omega_posterior_params,
-    phi_log_target,
     run_chain,
     tau_posterior_params,
 )
@@ -67,7 +73,7 @@ def random_state(rng, I, k, T=None):
         state["alpha"] = rng.normal(scale=0.5, size=T)
         state["rho"] = float(rng.uniform(-0.9, 0.9))
         state["omega"] = float(rng.uniform(0.05, 1.0))
-    return state
+    return ChainState(**state)
 
 
 SPECS_STATIC = [
@@ -78,50 +84,105 @@ SPECS_STATIC = [
 ]
 
 
+def joint_log_posterior(dataset, graph, spec, beta, phi, tau,
+                        alpha=None, rho=None, omega=None) -> float:
+    """Log joint posterior up to a constant: the reference for every block's ratio.
+
+    Built apart from the sweep: the criterion-1-checked likelihood, the CAR
+    kernel, a Gamma(a, b) prior on tau and a flat prior on beta; dynamic fits
+    add the stationary-start AR(1) density of alpha from ``scipy.stats.norm``,
+    a flat prior on rho over (-1, 1) and the omega^{-1} prior.
+    """
+    if spec.family == "cg":
+        out = log_likelihood_cg(dataset, beta, phi, spec.link, spec.c0, alpha)
+    else:
+        E = internal_standardization(dataset)
+        out = log_likelihood_is(dataset, E, beta, phi, alpha)
+    a, b = spec.tau_prior
+    out += car_log_kernel(graph, phi, tau) + gamma.logpdf(tau, a, scale=1.0 / b)
+    if spec.is_dynamic:
+        if not -1.0 < rho < 1.0:
+            return -np.inf
+        sd = np.sqrt(omega)
+        out += norm.logpdf(alpha[0], scale=sd / np.sqrt(1.0 - rho**2))
+        out += norm.logpdf(alpha[1:], loc=rho * alpha[:-1], scale=sd).sum()
+        out -= np.log(omega)
+    return float(out)
+
+
+def carried(ctx, st):
+    """The x @ beta and per-cell likelihood terms a chain at ``st`` carries."""
+    xb = ctx.xb(st.beta)
+    return xb, ctx.terms(xb, st.phi, st.alpha)
+
+
+def joint_at(ctx, st, **moved):
+    """The reference joint at ``st`` with the fields in ``moved`` replaced."""
+    s = dataclasses.replace(st, **moved)
+    return joint_log_posterior(ctx.dataset, ctx.graph, ctx.spec, s.beta, s.phi,
+                               s.tau, s.alpha, s.rho, s.omega)
+
+
+# Each check returns (the sweep's log ratio, the joint's difference) for one
+# block moving from the state ``st`` to a proposal.
+
+
+def phi_check(ctx, st, k, prop):
+    """Colour class ``k`` moving to ``prop``, the joint moved one region at a time."""
+    ratio = _phi_log_ratio(ctx, st, k, prop, *carried(ctx, st))
+    base = joint_at(ctx, st)
+    diffs = []
+    for i, value in zip(ctx.colors[k], prop):
+        phi = st.phi.copy()
+        phi[i] = value
+        diffs.append(joint_at(ctx, st, phi=phi) - base)
+    return ratio, np.array(diffs)
+
+
+def beta_check(ctx, st, prop):
+    cur_ll = float(carried(ctx, st)[1].sum())
+    ratio, _ = _beta_log_ratio(ctx, st, prop, cur_ll)
+    return ratio, joint_at(ctx, st, beta=prop) - joint_at(ctx, st)
+
+
+def alpha_check(ctx, st, t, value):
+    ratio, _ = _alpha_log_ratio(ctx, st, t, value, *carried(ctx, st))
+    alpha = st.alpha.copy()
+    alpha[t] = value
+    return ratio, joint_at(ctx, st, alpha=alpha) - joint_at(ctx, st)
+
+
+def rho_check(ctx, st, value):
+    return _rho_log_ratio(st, value), joint_at(ctx, st, rho=value) - joint_at(ctx, st)
+
+
 class TestFullConditionalConsistency:
-    """Metropolis log-target differences must equal joint log-posterior
-    differences with everything else held fixed."""
+    """The log ratio the sweep computes for each Metropolis block must equal
+    the reference joint's difference with everything else held fixed."""
 
     @pytest.mark.parametrize("spec", SPECS_STATIC, ids=lambda s: f"{s.family}-{s.link}")
     def test_phi_static(self, spec):
         rng = np.random.default_rng(2024)
         for _ in range(25):
             graph, data = random_static_problem(rng)
+            ctx = _FitContext(data, graph, spec)
             st = random_state(rng, 4, 2)
-            i = int(rng.integers(0, 4))
-            a, b = rng.normal(scale=0.8, size=2)
-
-            t_diff = phi_log_target(data, graph, spec, st["beta"], st["phi"],
-                                    st["tau"], i, a) - \
-                phi_log_target(data, graph, spec, st["beta"], st["phi"],
-                               st["tau"], i, b)
-
-            phi_a, phi_b = st["phi"].copy(), st["phi"].copy()
-            phi_a[i], phi_b[i] = a, b
-            j_diff = joint_log_posterior(data, graph, spec, st["beta"], phi_a,
-                                         st["tau"]) - \
-                joint_log_posterior(data, graph, spec, st["beta"], phi_b,
-                                    st["tau"])
-            assert t_diff == pytest.approx(j_diff, abs=1e-9)
+            for k, idx in enumerate(ctx.colors):
+                prop = rng.normal(scale=0.8, size=idx.size)
+                ratio, diff = phi_check(ctx, st, k, prop)
+                assert ratio == pytest.approx(diff, abs=1e-9)
 
     @pytest.mark.parametrize("spec", SPECS_STATIC, ids=lambda s: f"{s.family}-{s.link}")
     def test_beta_static(self, spec):
         rng = np.random.default_rng(4048)
         for _ in range(25):
             graph, data = random_static_problem(rng)
+            ctx = _FitContext(data, graph, spec)
             st = random_state(rng, 4, 2)
-            j = int(rng.integers(0, 2))
-            beta_a, beta_b = st["beta"].copy(), st["beta"].copy()
-            beta_a[j] += rng.normal()
-            beta_b[j] += rng.normal()
-
-            t_diff = beta_log_target(data, spec, beta_a, st["phi"]) - \
-                beta_log_target(data, spec, beta_b, st["phi"])
-            j_diff = joint_log_posterior(data, graph, spec, beta_a, st["phi"],
-                                         st["tau"]) - \
-                joint_log_posterior(data, graph, spec, beta_b, st["phi"],
-                                    st["tau"])
-            assert t_diff == pytest.approx(j_diff, abs=1e-9)
+            prop = st.beta.copy()
+            prop[int(rng.integers(0, 2))] += rng.normal()
+            ratio, diff = beta_check(ctx, st, prop)
+            assert ratio == pytest.approx(diff, abs=1e-9)
 
     @pytest.mark.parametrize("family", ["cg", "is"])
     def test_alpha_dynamic(self, family):
@@ -130,56 +191,68 @@ class TestFullConditionalConsistency:
                          temporal="dynamic_ar1")
         for _ in range(25):
             graph, data = random_panel_problem(rng)
+            ctx = _FitContext(data, graph, spec)
             st = random_state(rng, 4, 1, T=4)
             t = int(rng.integers(0, 4))
-            a, b = rng.normal(scale=0.6, size=2)
-
-            t_diff = alpha_log_target(data, spec, st["beta"], st["phi"],
-                                      st["alpha"], st["rho"], st["omega"],
-                                      t, a) - \
-                alpha_log_target(data, spec, st["beta"], st["phi"], st["alpha"],
-                                 st["rho"], st["omega"], t, b)
-
-            al_a, al_b = st["alpha"].copy(), st["alpha"].copy()
-            al_a[t], al_b[t] = a, b
-            j_diff = joint_log_posterior(data, graph, spec, st["beta"], st["phi"],
-                                         st["tau"], al_a, st["rho"], st["omega"]) - \
-                joint_log_posterior(data, graph, spec, st["beta"], st["phi"],
-                                    st["tau"], al_b, st["rho"], st["omega"])
-            assert t_diff == pytest.approx(j_diff, abs=1e-9)
+            ratio, diff = alpha_check(ctx, st, t, rng.normal(scale=0.6))
+            assert ratio == pytest.approx(diff, abs=1e-9)
 
     def test_phi_dynamic(self):
         rng = np.random.default_rng(99)
         spec = ModelSpec("cg", link="logit", temporal="dynamic_ar1")
         for _ in range(15):
             graph, data = random_panel_problem(rng)
+            ctx = _FitContext(data, graph, spec)
             st = random_state(rng, 4, 1, T=4)
-            i = int(rng.integers(0, 4))
-            a, b = rng.normal(scale=0.8, size=2)
-            t_diff = phi_log_target(data, graph, spec, st["beta"], st["phi"],
-                                    st["tau"], i, a, alpha=st["alpha"]) - \
-                phi_log_target(data, graph, spec, st["beta"], st["phi"],
-                               st["tau"], i, b, alpha=st["alpha"])
-            phi_a, phi_b = st["phi"].copy(), st["phi"].copy()
-            phi_a[i], phi_b[i] = a, b
-            j_diff = joint_log_posterior(data, graph, spec, st["beta"], phi_a,
-                                         st["tau"], st["alpha"], st["rho"],
-                                         st["omega"]) - \
-                joint_log_posterior(data, graph, spec, st["beta"], phi_b,
-                                    st["tau"], st["alpha"], st["rho"], st["omega"])
-            assert t_diff == pytest.approx(j_diff, abs=1e-9)
+            for k, idx in enumerate(ctx.colors):
+                prop = rng.normal(scale=0.8, size=idx.size)
+                ratio, diff = phi_check(ctx, st, k, prop)
+                assert ratio == pytest.approx(diff, abs=1e-9)
+
+    def test_rho_dynamic(self):
+        rng = np.random.default_rng(1212)
+        spec = ModelSpec("cg", link="logit", temporal="dynamic_ar1")
+        for _ in range(25):
+            graph, data = random_panel_problem(rng)
+            ctx = _FitContext(data, graph, spec)
+            st = random_state(rng, 4, 1, T=4)
+            ratio, diff = rho_check(ctx, st, rng.uniform(-0.95, 0.95))
+            assert ratio == pytest.approx(diff, abs=1e-9)
+
+    def test_rho_outside_unit_interval_rejected(self):
+        graph, data = covariate_problem(np.random.default_rng(13), k=1, T=4)
+        spec = ModelSpec("cg", temporal="dynamic_ar1")
+        runner = _ChainRunner(data, graph, spec, quick_config())
+        st = runner.state
+        for prop in (1.0, -1.3):
+            assert _rho_log_ratio(st, prop) == -np.inf
+
+        class OutOfRange:  # proposes rho = 0.5 + 0.1 * 6 = 1.1
+            def standard_normal(self):
+                return 6.0
+
+            def random(self):
+                raise AssertionError("a proposal outside (-1, 1) drew a uniform")
+
+        runner.rng = OutOfRange()
+        runner.update_rho()
+        assert st.rho == 0.5
+        assert st.acceptance_counts["rho"][0] == 0
+        assert st.proposal_counts["rho"][0] == 1
 
     def test_huge_tau_pins_phi_to_neighbor_mean(self):
         rng = np.random.default_rng(5)
         graph, data = random_static_problem(rng)
-        spec = ModelSpec("cg")
+        ctx = _FitContext(data, graph, ModelSpec("cg"))
         st = random_state(rng, 4, 2)
-        nbr_mean = float(np.mean(st["phi"][graph.neighbors(1)]))
-        at_mean = phi_log_target(data, graph, spec, st["beta"], st["phi"],
-                                 1e9, 1, nbr_mean)
-        away = phi_log_target(data, graph, spec, st["beta"], st["phi"],
-                              1e9, 1, nbr_mean + 0.1)
-        assert away - at_mean < -1e5
+        st.tau = 1e9
+        st.phi[1] = float(np.mean(st.phi[graph.neighbors(1)]))
+        k = next(k for k, idx in enumerate(ctx.colors) if 1 in idx)
+        prop = st.phi[ctx.colors[k]]
+        at_one = ctx.colors[k] == 1
+        prop[at_one] += 0.1
+        away = _phi_log_ratio(ctx, st, k, prop, *carried(ctx, st))[at_one][0]
+        assert away < -1e5
 
 
 class TestTauConjugacy:
@@ -268,42 +341,42 @@ class TestMetropolisRule:
         assert accept.all()
 
     def test_alpha_target_decouples_at_rho_zero(self):
-        # with rho = 0 and all other alpha at 0, the conditional is the
-        # slice likelihood plus a N(0, omega) kernel
+        # with rho = 0 and all other alpha at 0, the ratio is the slice
+        # likelihood's difference plus a N(0, omega) kernel's
         rng = np.random.default_rng(44)
         spec = ModelSpec("cg", temporal="dynamic_ar1")
         graph, data = random_panel_problem(rng, I=4, T=4)
-        beta = np.array([-1.0])
-        phi = rng.normal(scale=0.3, size=4)
-        omega = 0.2
-        alpha = np.zeros(4)
+        ctx = _FitContext(data, graph, spec)
+        st = ChainState(beta=np.array([-1.0]), phi=rng.normal(scale=0.3, size=4),
+                        tau=1.0, alpha=np.zeros(4), rho=0.0, omega=0.2)
         from arealrisk.model import apply_link
+
+        def slice_lik(t, v):
+            sl = data.time_slice(t)
+            p = apply_link("logit", sl.x @ st.beta + st.phi + v)
+            return float(np.sum(sl.y * np.log(sl.n * p) - sl.n * p))
 
         for t in range(4):
             for v in (-0.4, 0.3):
-                got = alpha_log_target(data, spec, beta, phi, alpha, 0.0,
-                                       omega, t, v)
-                sl = data.time_slice(t)
-                p = apply_link("logit", sl.x @ beta + phi + v)
-                lik = float(np.sum(sl.y * np.log(sl.n * p) - sl.n * p))
-                expected = lik - v**2 / (2.0 * omega)
+                got, _ = _alpha_log_ratio(ctx, st, t, v, *carried(ctx, st))
+                expected = slice_lik(t, v) - slice_lik(t, 0.0) - v**2 / (2.0 * st.omega)
                 assert got == pytest.approx(expected, abs=1e-9)
 
 
 class TestAdaptation:
     def test_low_acceptance_shrinks(self):
         scales = np.array([1.0])
-        adapt_scales(scales, np.array([5.0]), np.array([100.0]))
+        adapt_scales(scales, np.array([5.0]), np.array([100.0]), (0.15, 0.40))
         assert scales[0] == pytest.approx(0.8)
 
     def test_in_band_unchanged(self):
         scales = np.array([1.0])
-        adapt_scales(scales, np.array([25.0]), np.array([100.0]))
+        adapt_scales(scales, np.array([25.0]), np.array([100.0]), (0.15, 0.40))
         assert scales[0] == 1.0
 
     def test_high_acceptance_grows(self):
         scales = np.array([1.0])
-        adapt_scales(scales, np.array([50.0]), np.array([100.0]))
+        adapt_scales(scales, np.array([50.0]), np.array([100.0]), (0.15, 0.40))
         assert scales[0] == pytest.approx(1.25)
 
 
@@ -536,6 +609,32 @@ class TestNonFinite:
             f"{T * sweeps} non-finite Metropolis target(s) in block 'alpha'; "
             "those proposals were rejected",
         ]
+
+
+class TestSweepCallsTheCheckedRatios:
+    def test_rejecting_ratios_freeze_their_blocks(self, monkeypatch):
+        # the ratio functions criterion 2 checks are the ones the sweep runs:
+        # when they reject everything, phi, beta and alpha never move
+        graph, data = covariate_problem(np.random.default_rng(38), k=2, T=4)
+        runner = _ChainRunner(data, graph, ModelSpec("cg", temporal="dynamic_ar1"),
+                              quick_config())
+        st = runner.state
+        # dyadic and summing to exactly zero, so the recentering shift is 0.0
+        st.phi = np.array([0.5, -0.25, 0.75, -1.0, 0.25, -0.25])
+        st.beta = np.array([-2.0, 0.3])
+        st.alpha = np.array([0.1, -0.2, 0.05, 0.3])
+        runner.xb, runner.terms = carried(runner.ctx, st)
+        before = {block: getattr(st, block).copy() for block in ("phi", "beta", "alpha")}
+        monkeypatch.setattr(sampler, "_phi_log_ratio",
+                            lambda ctx, st, k, prop, xb, terms: np.full(prop.size, -np.inf))
+        monkeypatch.setattr(sampler, "_beta_log_ratio", lambda *a: (-np.inf, None))
+        monkeypatch.setattr(sampler, "_alpha_log_ratio", lambda *a: (-np.inf, None))
+        for _ in range(5):
+            runner.sweep()
+        for block, value in before.items():
+            assert np.array_equal(getattr(st, block), value), block
+            assert st.acceptance_counts[block].sum() == 0, block
+            assert np.all(st.proposal_counts[block] == 5), block
 
 
 class TestCalibration:
