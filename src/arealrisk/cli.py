@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import os
 import sys
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimators import (
+    MIN_DRAWS,
     _check_level,
     _risk_draws,
     summarize,
@@ -38,6 +38,7 @@ from .model import (
     LINKS,
     ModelSpec,
     _fmt,
+    _read_csv,
     _write_json,
     load_dataset,
 )
@@ -102,6 +103,13 @@ def _sampler_config(args, seed: int) -> SamplerConfig:
     )
 
 
+def _check_draws(config: SamplerConfig) -> None:
+    """Reject, before any chain runs, a chain too short to summarize."""
+    if config.n_draws < MIN_DRAWS:
+        raise ValueError(f"(iterations - burn_in) // thin keeps {config.n_draws} "
+                         f"draws; summaries need at least {MIN_DRAWS}")
+
+
 def _add_sampler_flags(p, iterations=25_000, burn_in=5_000):
     p.add_argument("--iterations", type=int, default=iterations,
                    help="total MCMC sweeps")
@@ -133,6 +141,7 @@ def _spec_from_args(args, family: str, temporal: str) -> ModelSpec:
 def cmd_fit(args) -> int:
     seed = _resolve_seed(args)
     _check_level(args.level)
+    _check_draws(_sampler_config(args, seed))
     dataset = load_dataset(args.data)
     graph = load_adjacency(args.adjacency, region_ids=dataset.region_ids)
     temporal = "dynamic_ar1" if dataset.is_dynamic else "static"
@@ -182,28 +191,24 @@ def _graph_and_populations(args, seed):
 
 
 def _load_populations(path, graph) -> np.ndarray:
+    header, rows = _read_csv(path)
+    if [c.lower() for c in header[:2]] != ["region", "n"]:
+        raise CommandError(f"{path}: populations header must be region,n")
     values = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [c.strip().lower() for c in next(reader, [])]
-        if header[:2] != ["region", "n"]:
-            raise CommandError(f"{path}: populations header must be region,n")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}, line {reader.line_num}"
-            if len(row) < 2:
-                raise CommandError(f"{where}: expected region,n; got {row!r}")
-            region = row[0].strip()
-            if region in values:
-                raise CommandError(f"{where}: repeated region {region!r}")
-            try:
-                values[region] = float(row[1])
-            except ValueError as exc:
-                raise CommandError(f"{where}: {exc}") from None
-            if not 0.0 < values[region] < np.inf:
-                raise CommandError(f"{where}: population must be positive and "
-                                   f"finite, got {values[region]}")
+    for line, row in rows:
+        where = f"{path}, line {line}"
+        if len(row) < 2:
+            raise CommandError(f"{where}: expected region,n; got {row!r}")
+        region = row[0]
+        if region in values:
+            raise CommandError(f"{where}: repeated region {region!r}")
+        try:
+            values[region] = float(row[1])
+        except ValueError as exc:
+            raise CommandError(f"{where}: {exc}") from None
+        if not 0.0 < values[region] < np.inf:
+            raise CommandError(f"{where}: population must be positive and "
+                               f"finite, got {values[region]}")
     missing = [r for r in graph.region_ids if r not in values]
     if missing:
         raise CommandError(f"{path}: missing populations for {missing[:5]}")
@@ -296,6 +301,16 @@ def cmd_study(args) -> int:
     jobs = int(cfg["run"].pop("jobs"))
     level = float(cfg["study"]["level"])
     _check_level(level)
+    band = tuple(float(v) for v in cfg["sampler"]["target_acceptance"].split(","))
+    sampler_config = SamplerConfig(
+        n_iterations=int(cfg["sampler"]["iterations"]),
+        burn_in=int(cfg["sampler"]["burn_in"]),
+        thin=int(cfg["sampler"]["thin"]),
+        seed=0,  # per-fit seeds are derived inside the study
+        adapt_window=int(cfg["sampler"]["adapt_window"]),
+        target_acceptance=band,
+    )
+    _check_draws(sampler_config)
     links = [s.strip() for s in cfg["study"]["links"].split(",") if s.strip()]
     for link in links:
         if link not in LINKS:
@@ -327,15 +342,6 @@ def cmd_study(args) -> int:
     recipe = _truth_recipe(t["baseline"], t["hub_bumps"], t["neighbor_bump"],
                            t["hubs"])
     truth = build_truth(graph, pops, recipe)
-    band = tuple(float(v) for v in cfg["sampler"]["target_acceptance"].split(","))
-    sampler_config = SamplerConfig(
-        n_iterations=int(cfg["sampler"]["iterations"]),
-        burn_in=int(cfg["sampler"]["burn_in"]),
-        thin=int(cfg["sampler"]["thin"]),
-        seed=0,  # per-fit seeds are derived inside the study
-        adapt_window=int(cfg["sampler"]["adapt_window"]),
-        target_acceptance=band,
-    )
     B = int(cfg["study"]["replicates"])
 
     from .simstudy import study_report
@@ -372,6 +378,7 @@ def cmd_study(args) -> int:
 def cmd_forecast(args) -> int:
     seed = _resolve_seed(args)
     _check_level(args.level)
+    _check_draws(_sampler_config(args, seed))
     panel = load_dataset(args.data)
     if not panel.is_dynamic:
         raise CommandError("forecast requires a panel dataset with a year column")
@@ -453,12 +460,14 @@ def cmd_forecast(args) -> int:
 
 
 def _read_summary(path):
+    header, lines = _read_csv(path)
     rows = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            key = (row["region"], row.get("time", ""), row["estimator"])
-            rows[key] = row
+    for line, cells in lines:
+        if len(cells) != len(header):
+            raise CommandError(f"{path}, line {line}: row has {len(cells)} "
+                               f"fields, expected {len(header)}")
+        row = dict(zip(header, cells))
+        rows[(row["region"], row.get("time", ""), row["estimator"])] = row
     if not rows:
         raise CommandError(f"{path}: empty summary file")
     return rows

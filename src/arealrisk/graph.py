@@ -10,11 +10,12 @@ warning and receive a single global sum-to-zero centering downstream.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from itertools import chain
 
 import numpy as np
+
+from .model import _read_csv
 
 __all__ = [
     "AdjacencyGraph",
@@ -38,7 +39,7 @@ class AdjacencyGraph:
     ----------
     region_ids : sequence of str
         Unique, order-defining region labels.
-    edges : sequence of (int, int)
+    edges : iterable of (int, int)
         Unordered index pairs; duplicates and reversed duplicates collapse
         to a single edge.
     """
@@ -168,67 +169,52 @@ def car_log_kernel(graph: AdjacencyGraph, phi: np.ndarray, tau: float) -> float:
     )
 
 
-def _parse_edge_list(rows):
-    edges = []
-    order: list[str] = []
-    seen_ids = set()
-
-    def note(rid):
-        if rid not in seen_ids:
-            seen_ids.add(rid)
-            order.append(rid)
-
-    for lineno, row in rows:
-        row = [c.strip() for c in row]
-        if not row or not any(row):
-            continue
+def _parse_edge_list(path, rows):
+    named = []  # every region the file names, in file order
+    ends = []  # both ends of every edge, edge after edge
+    for line, row in rows:
         if len(row) < 2 or row[1] == "":
             # a row naming only one region declares it without neighbors
-            note(row[0])
+            named.append(row[0])
             continue
         a, b = row[0], row[1]
-        if a == "" or b == "":
-            raise GraphStructureError(f"line {lineno}: incomplete edge row {row}")
-        note(a)
-        note(b)
-        edges.append((a, b))
-    return order, edges
+        if a == "":
+            raise GraphStructureError(f"{path}, line {line}: incomplete edge row {row}")
+        named += (a, b)
+        ends += (a, b)
+    return list(dict.fromkeys(named)), ends
 
 
-def _parse_matrix(header, rows):
-    ids = [c.strip() for c in header[1:]]
+def _parse_matrix(path, header, rows):
+    rows = list(rows)
+    ids = header[1:]
     n = len(ids)
-    mat = np.zeros((n, n), dtype=np.int64)
-    row_labels = []
-    for lineno, row in rows:
-        row = [c.strip() for c in row]
-        if not row or not any(row):
-            continue
+    for line, row in rows:
         if len(row) != n + 1:
             raise GraphStructureError(
-                f"line {lineno}: expected {n + 1} columns, got {len(row)}"
+                f"{path}, line {line}: expected {n + 1} columns, got {len(row)}"
             )
-        row_labels.append(row[0])
-        for j, cell in enumerate(row[1:]):
-            if cell not in ("0", "1"):
-                raise GraphStructureError(
-                    f"line {lineno}: adjacency entries must be 0 or 1, got {cell!r}"
-                )
-            mat[len(row_labels) - 1, j] = int(cell)
-    if row_labels != ids:
+        bad = [cell for cell in row[1:] if cell not in ("0", "1")]
+        if bad:
+            raise GraphStructureError(
+                f"{path}, line {line}: adjacency entries must be 0 or 1, "
+                f"got {bad[0]!r}"
+            )
+    if [row[0] for _, row in rows] != ids:
         raise GraphStructureError(
-            "matrix row labels do not match the header region ids"
+            f"{path}: matrix row labels do not match the header region ids"
         )
+    mat = np.array([row[1:] for _, row in rows], dtype=np.int64).reshape(n, n)
     if np.any(np.diag(mat) != 0):
         bad = ids[int(np.nonzero(np.diag(mat))[0][0])]
-        raise GraphStructureError(f"self-loop at region {bad!r}")
+        raise GraphStructureError(f"{path}: self-loop at region {bad!r}")
     if not np.array_equal(mat, mat.T):
         i, j = np.argwhere(mat != mat.T)[0]
         raise GraphStructureError(
-            f"asymmetric adjacency: entry ({ids[i]},{ids[j]}) != ({ids[j]},{ids[i]})"
+            f"{path}: asymmetric adjacency: entry ({ids[i]},{ids[j]}) != "
+            f"({ids[j]},{ids[i]})"
         )
-    edges = [(ids[i], ids[j]) for i, j in np.argwhere(np.triu(mat, 1))]
-    return ids, edges
+    return ids, [ids[v] for v in np.argwhere(np.triu(mat, 1)).ravel()]
 
 
 def load_adjacency(path, region_ids=None) -> AdjacencyGraph:
@@ -237,28 +223,31 @@ def load_adjacency(path, region_ids=None) -> AdjacencyGraph:
     Two CSV forms are accepted: an edge list with header ``from,to``, or a
     square 0/1 matrix whose header row and first column carry the region
     ids. Edge lists are symmetrized and deduplicated; matrices must already
-    be symmetric. If ``region_ids`` is given, every listed region must
-    appear with at least one neighbor.
+    be symmetric. If ``region_ids`` is given, the file must name no other
+    region, and every listed region must appear with at least one neighbor.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise GraphStructureError(f"{path}: empty adjacency file") from None
-        numbered = [(lineno, row) for lineno, row in enumerate(reader, start=2)]
-
-    header_norm = [c.strip().lower() for c in header]
-    if header_norm[:2] == ["from", "to"]:
-        order, named_edges = _parse_edge_list(numbered)
+    header, rows = _read_csv(path)
+    if not header:
+        raise GraphStructureError(f"{path}: empty adjacency file")
+    # either form gives the regions in file order and the edges' ends, flat
+    if [c.lower() for c in header[:2]] == ["from", "to"]:
+        order, ends = _parse_edge_list(path, rows)
     else:
-        order, named_edges = _parse_matrix(header, numbered)
+        order, ends = _parse_matrix(path, header, rows)
 
     if region_ids is not None:
-        onto = set(order)
-        order += [str(r) for r in region_ids if str(r) not in onto]
+        wanted = dict.fromkeys(map(str, region_ids))
+        extra = [r for r in order if r not in wanted]
+        if extra:
+            raise GraphStructureError(f"{path}: regions not in the dataset: "
+                                      + ", ".join(map(repr, extra[:5]))
+                                      + (", ..." if extra[5:] else ""))
+        order = list(dict.fromkeys([*order, *wanted]))
 
     # a region without an edge is an island; AdjacencyGraph rejects it by name
     index = {r: i for i, r in enumerate(order)}
-    edges = [(index[a], index[b]) for a, b in named_edges]
-    return AdjacencyGraph(order, edges)
+    ends = [index[r] for r in ends]
+    try:
+        return AdjacencyGraph(order, zip(ends[::2], ends[1::2]))
+    except GraphStructureError as exc:
+        raise GraphStructureError(f"{path}: {exc}") from None

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,12 +260,14 @@ def _poisson_terms(y, n, eta, spec: ModelSpec, E=None):
     return y * log_mu - np.exp(np.minimum(log_mu, _ETA_MAX))
 
 
+def _log_factorial_sum(y) -> float:
+    """The Poisson constant sum(log(Y!)), from ``math.lgamma`` cell by cell."""
+    return math.fsum(map(math.lgamma, (np.asarray(y, dtype=float) + 1.0).flat))
+
+
 def _log_likelihood(dataset: Dataset, spec: ModelSpec, beta, phi, alpha=None,
                     E=None) -> float:
     """Summed Poisson terms plus the log(Y!) constants."""
-    # imported here: no sweep needs the constants, so the CLI never loads SciPy
-    from scipy.special import gammaln
-
     beta = np.asarray(beta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if alpha is not None:
@@ -273,7 +276,7 @@ def _log_likelihood(dataset: Dataset, spec: ModelSpec, beta, phi, alpha=None,
         alpha = np.asarray(alpha, dtype=float)
     eta = _eta(dataset.x @ beta, phi, alpha)
     terms = _poisson_terms(dataset.y, dataset.n, eta, spec, E)
-    return float(np.sum(terms - gammaln(dataset.y + 1.0)))
+    return float(np.sum(terms)) - _log_factorial_sum(dataset.y)
 
 
 def log_likelihood_cg(
@@ -317,14 +320,26 @@ def _write_json(obj, fh) -> None:
     fh.write("\n")
 
 
+def _read_csv(path):
+    """A CSV input's header and an iterator over its ``(line, cells)`` rows.
+
+    Cells are stripped and a row whose cells are all blank is skipped. The
+    file is closed on return; an empty file has no header.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh.readlines())
+    header = [c.strip() for c in next(reader, [])]
+    stripped = ([c.strip() for c in row] for row in reader)
+    return header, ((reader.line_num, cells) for cells in stripped if any(cells))
+
+
 def _coerce_time(value: str):
-    try:
-        return int(value)
-    except ValueError:
+    for kind in (int, float):
         try:
-            return float(value)
+            return kind(value)
         except ValueError:
-            return value
+            pass
+    return value
 
 
 def load_dataset(path) -> Dataset:
@@ -334,33 +349,25 @@ def load_dataset(path) -> Dataset:
     complete (every region at every time, each pair exactly once). An
     intercept column is prepended to any covariates found.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [c.strip().lower() for c in next(reader, [])]
-        rows = [(reader.line_num, row) for row in reader
-                if row and any(c.strip() for c in row)]
-
+    header, rows = _read_csv(path)
+    header = [c.lower() for c in header]
     has_year = "year" in header
     expected = ["region"] + (["year"] if has_year else []) + ["y", "n"]
     if header[: len(expected)] != expected:
         raise ValueError(
             f"{path}: header must start with {','.join(expected)}; got {header}"
         )
-    x_names = header[len(expected) :]
-    k = len(x_names)
+    off = len(expected) - 2  # the column of y
+    k = len(header) - len(expected)
 
-    records = []
+    cells = {}  # (region, year) -> its row in ys, ns and covs; year None if static
+    ys, ns, covs = [], [], []
     for line, row in rows:
-        row = [c.strip() for c in row]
         if len(row) != len(header):
             raise ValueError(
                 f"{path}, line {line}: row has {len(row)} fields, "
                 f"expected {len(header)}"
             )
-        region = row[0]
-        off = 1
-        year = _coerce_time(row[off]) if has_year else None
-        off += int(has_year)
         try:
             y = int(row[off])
             n = float(row[off + 1])
@@ -373,47 +380,35 @@ def load_dataset(path) -> Dataset:
         if not 0.0 < n < np.inf:
             raise ValueError(f"{path}, line {line}: population must be positive "
                              f"and finite, got {n}")
-        records.append((region, year, y, n, xs))
+        if not all(map(math.isfinite, xs)):
+            raise ValueError(f"{path}, line {line}: covariates must be finite, "
+                             f"got {xs}")
+        key = (row[0], _coerce_time(row[1]) if has_year else None)
+        if key in cells:
+            at = f", year {key[1]!r}" if has_year else ""
+            raise ValueError(f"{path}, line {line}: duplicate row for region "
+                             f"{key[0]!r}{at}")
+        cells[key] = len(ys)
+        ys.append(y)
+        ns.append(n)
+        covs += xs
 
-    region_order: list[str] = []
-    seen = set()
-    for region, *_ in records:
-        if region not in seen:
-            seen.add(region)
-            region_order.append(region)
-    I = len(region_order)
-    ridx = {r: i for i, r in enumerate(region_order)}
-
+    # a static file is a panel of one slice, squeezed at the end
+    regions = list(dict.fromkeys(region for region, _ in cells))
+    # numeric years sort before text ones, so mixed labels still have an order
+    times = (sorted({t for _, t in cells}, key=lambda t: (isinstance(t, str), t))
+             if has_year else [None])
+    try:
+        order = [cells[region, t] for region in regions for t in times]
+    except KeyError as exc:
+        region, t = exc.args[0]
+        raise ValueError(f"{path}: incomplete panel; missing region {region!r} "
+                         f"at year {t!r}") from None
+    I, T = len(regions), len(times)
+    y = np.array(ys, dtype=np.int64)[order].reshape(I, T)
+    n = np.array(ns, dtype=float)[order].reshape(I, T)
+    xs = np.array(covs, dtype=float).reshape(len(ys), k)[order]
+    x = np.hstack([np.ones((I * T, 1)), xs]).reshape(I, T, 1 + k)
     if not has_year:
-        if len(records) != I:
-            raise ValueError(f"{path}: duplicate region rows in static dataset")
-        y = np.zeros(I, dtype=np.int64)
-        n = np.zeros(I)
-        x = np.ones((I, 1 + k))
-        for region, _, yi, ni, xs in records:
-            i = ridx[region]
-            y[i], n[i] = yi, ni
-            x[i, 1:] = xs
-        return Dataset(region_order, y, n, x)
-
-    times = sorted({rec[1] for rec in records})
-    T = len(times)
-    tidx = {t: j for j, t in enumerate(times)}
-    y = np.zeros((I, T), dtype=np.int64)
-    n = np.zeros((I, T))
-    x = np.ones((I, T, 1 + k))
-    filled = np.zeros((I, T), dtype=bool)
-    for region, year, yi, ni, xs in records:
-        i, j = ridx[region], tidx[year]
-        if filled[i, j]:
-            raise ValueError(f"{path}: duplicate row for region {region!r}, year {year!r}")
-        filled[i, j] = True
-        y[i, j], n[i, j] = yi, ni
-        x[i, j, 1:] = xs
-    if not filled.all():
-        i, j = np.argwhere(~filled)[0]
-        raise ValueError(
-            f"{path}: incomplete panel; missing region {region_order[i]!r} "
-            f"at year {times[j]!r}"
-        )
-    return Dataset(region_order, y, n, x, times)
+        return Dataset(regions, y[:, 0], n[:, 0], x[:, 0])
+    return Dataset(regions, y, n, x, times)

@@ -154,12 +154,16 @@ class _FitContext:
         self.n = dataset.n
         self.x = dataset.x
         self.colors = graph.coloring()
-        # per class: each CSR entry's row within the class, and its neighbour
-        self.color_nbrs = [
-            (np.repeat(np.arange(idx.size), graph.degrees[idx]),
-             np.concatenate([graph.neighbors(i) for i in idx]))
-            for idx in self.colors
-        ]
+        # per class: each CSR entry's row within the class, and its neighbour,
+        # gathered from the class's CSR row segments in class order
+        self.color_nbrs = []
+        for idx in self.colors:
+            deg = graph.degrees[idx]
+            rows = np.repeat(np.arange(idx.size), deg)
+            # entry e of the class sits (e - its row's first entry) into that row
+            shift = graph._indptr[idx] - (np.cumsum(deg) - deg)
+            pos = np.arange(rows.size) + shift[rows]
+            self.color_nbrs.append((rows, graph._indices[pos]))
         self.color_deg = [graph.degrees[idx].astype(float) for idx in self.colors]
         self.intercept = dataset.intercept_column
 

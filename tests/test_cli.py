@@ -411,16 +411,86 @@ class TestMalformedCsv:
         assert "header must be region,n" in json.loads(capsys.readouterr().err)["message"]
 
 
+class TestInputErrorsNameFileAndLine:
+    """Every input row error reaches the JSON error path as ``<file>, line <n>: ``."""
+
+    def fit(self, tmp_path, data, adjacency):
+        return run_cli("fit", "--data", data, "--adjacency", adjacency,
+                       "--family", "cg", *FAST, "--out", tmp_path / "fit")
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("from,to\nr0,r1\n,r1\n", 3, "incomplete edge row ['', 'r1']"),
+        ("region,r0,r1\nr0,0,1\nr1,1,x\n", 3,
+         "adjacency entries must be 0 or 1, got 'x'"),
+        ("region,r0,r1\nr0,0,1\n  \nr1,1,0,0\n", 4, "expected 3 columns, got 4"),
+    ])
+    def test_adjacency_row(self, lattice_files, tmp_path, capsys, text, line, message):
+        adj = tmp_path / "bad_adjacency.csv"
+        adj.write_text(text)
+        assert self.fit(tmp_path, lattice_files / "dataset.csv", adj) != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "GraphStructureError",
+                       "message": f"{adj}, line {line}: {message}"}
+
+    def test_duplicate_static_row(self, lattice_files, tmp_path, capsys):
+        lines = (lattice_files / "dataset.csv").read_text().splitlines()
+        data = tmp_path / "dup.csv"
+        data.write_text("\n".join(lines + [lines[2]]) + "\n")
+        region = lines[2].split(",")[0]
+        assert self.fit(tmp_path, data, lattice_files / "adjacency.csv") != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message":
+                       f"{data}, line {len(lines) + 1}: duplicate row for region "
+                       f"{region!r}"}
+
+    def test_duplicate_panel_row(self, panel_file, tmp_path, capsys):
+        lines = (panel_file / "panel.csv").read_text().splitlines()
+        data = tmp_path / "dup.csv"
+        data.write_text("\n".join(lines[:3] + [lines[1]] + lines[3:]) + "\n")
+        region, year = lines[1].split(",")[:2]
+        rc = run_cli("forecast", "--data", data,
+                     "--adjacency", panel_file / "adjacency.csv", *FAST,
+                     "--out", tmp_path / "fc")
+        assert rc != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message":
+                       f"{data}, line 4: duplicate row for region {region!r}, "
+                       f"year {year}"}
+
+    def test_adjacency_region_outside_the_dataset(self, lattice_files, tmp_path,
+                                                  capsys):
+        adj = tmp_path / "adjacency.csv"
+        adj.write_text((lattice_files / "adjacency.csv").read_text() + "r0,D\n")
+        assert self.fit(tmp_path, lattice_files / "dataset.csv", adj) != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "GraphStructureError",
+                       "message": f"{adj}: regions not in the dataset: 'D'"}
+
+    def test_whitespace_populations_rows_skipped(self, lattice_files, tmp_path):
+        ids = [f"r{i}" for i in range(16)]
+        rows = [f"{r},{1000 + 10 * i}" for i, r in enumerate(ids)]
+        for name, body in (("clean", rows), ("padded", rows[:3] + ["  ", " , "]
+                                             + rows[3:] + ["\t"])):
+            pops = tmp_path / f"{name}.csv"
+            pops.write_text("\n".join(["region,n"] + body) + "\n")
+            rc = run_cli("simulate", "--adjacency", lattice_files / "adjacency.csv",
+                         "--populations", pops, "--seed", 2, "--out", tmp_path / name)
+            assert rc == 0
+        assert ((tmp_path / "clean" / "dataset.csv").read_bytes()
+                == (tmp_path / "padded" / "dataset.csv").read_bytes())
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    def run_chain(*args, **kwargs):
+        raise AssertionError("run_chain called")
+
+    monkeypatch.setattr("arealrisk.cli.run_chain", run_chain)
+    monkeypatch.setattr("arealrisk.simstudy.run_chain", run_chain)
+
+
 class TestLevelCheckedUpFront:
     """A bad --level (or [study] level) fails before any chain is run."""
-
-    @pytest.fixture
-    def no_sampling(self, monkeypatch):
-        def run_chain(*args, **kwargs):
-            raise AssertionError("run_chain called")
-
-        monkeypatch.setattr("arealrisk.cli.run_chain", run_chain)
-        monkeypatch.setattr("arealrisk.simstudy.run_chain", run_chain)
 
     def assert_rejected(self, rc, capsys):
         assert rc != 0
@@ -451,6 +521,43 @@ class TestLevelCheckedUpFront:
     def test_study_flag(self, tmp_path, capsys, no_sampling):
         rc = run_cli("study", "--level", 1.5, "--out", tmp_path)
         self.assert_rejected(rc, capsys)
+
+
+class TestShortChainRejectedUpFront:
+    """A chain that keeps fewer than MIN_DRAWS draws fails before any chain runs."""
+
+    SHORT = ["--iterations", "20", "--burn-in", "10", "--adapt-window", "5"]
+
+    def assert_rejected(self, rc, capsys, n_draws):
+        assert rc != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": f"(iterations - burn_in) // thin keeps {n_draws} "
+                                  "draws; summaries need at least 100"}
+
+    def test_fit(self, lattice_files, tmp_path, capsys, no_sampling):
+        rc = run_cli("fit", "--data", lattice_files / "dataset.csv",
+                     "--adjacency", lattice_files / "adjacency.csv",
+                     "--family", "cg", *self.SHORT, "--out", tmp_path)
+        self.assert_rejected(rc, capsys, 5)
+
+    def test_forecast(self, panel_file, tmp_path, capsys, no_sampling):
+        rc = run_cli("forecast", "--data", panel_file / "panel.csv",
+                     "--adjacency", panel_file / "adjacency.csv", *self.SHORT,
+                     "--thin", 1, "--out", tmp_path)
+        self.assert_rejected(rc, capsys, 10)
+
+    def test_study(self, tmp_path, capsys, no_sampling):
+        cfg = tmp_path / "study.ini"
+        cfg.write_text("[graph]\nlattice = 3\n[study]\nreplicates = 2\n"
+                       "[sampler]\niterations = 30\nburn_in = 10\n")
+        rc = run_cli("study", "--config", cfg, "--out", tmp_path / "out")
+        self.assert_rejected(rc, capsys, 10)
+
+    def test_study_flag(self, tmp_path, capsys, no_sampling):
+        rc = run_cli("study", "--replicates", 2, "--iterations", 298,
+                     "--burn-in", 100, "--out", tmp_path)
+        self.assert_rejected(rc, capsys, 99)
 
 
 # runs the CLI, then reports on stderr every scipy module the process loaded

@@ -93,6 +93,55 @@ class TestConstruction:
         with pytest.raises(GraphStructureError, match="C"):
             load_adjacency(f)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("from,to\nA,B\n,A\n", 3, "incomplete edge row ['', 'A']"),
+        ("region,A,B\nA,0,1\nB,1,2\n", 3, "adjacency entries must be 0 or 1, got '2'"),
+        ("region,A,B\nA,0,1\n\nB,1\n", 4, "expected 3 columns, got 2"),
+    ])
+    def test_row_errors_name_file_and_line(self, tmp_path, text, line, message):
+        f = tmp_path / "adj.csv"
+        f.write_text(text)
+        with pytest.raises(GraphStructureError) as exc:
+            load_adjacency(f)
+        assert str(exc.value) == f"{f}, line {line}: {message}"
+
+    @pytest.mark.parametrize("text", [
+        "from,to\nA,B\nB,C\nC,D\n",
+        "region,A,B,C\nA,0,1,0\nB,1,0,1\nC,0,1,0\n",
+    ])
+    def test_whitespace_rows_skipped(self, tmp_path, text):
+        lines = text.splitlines()
+        f = tmp_path / "adj.csv"
+        f.write_text("\n".join(lines[:2] + ["  ", " , "] + lines[2:] + ["\t"]) + "\n")
+        g = load_adjacency(f)
+        (tmp_path / "clean.csv").write_text(text)
+        clean = load_adjacency(tmp_path / "clean.csv")
+        assert g.region_ids == clean.region_ids
+        assert np.array_equal(g.edges, clean.edges)
+
+    @pytest.mark.parametrize("text, message", [
+        ("from,to\nA,B\nD,\n", "isolated region(s) with no neighbors: D"),
+        ("from,to\nA,B\nB,B\n", "self-loop at region 'B'"),
+        ("region,A,A\nA,0,1\nA,1,0\n", "region ids must be unique"),
+    ])
+    def test_graph_errors_name_file(self, tmp_path, text, message):
+        f = tmp_path / "adj.csv"
+        f.write_text(text)
+        with pytest.raises(GraphStructureError) as exc:
+            load_adjacency(f)
+        assert str(exc.value) == f"{f}: {message}"
+
+    @pytest.mark.parametrize("extra, named", [
+        (["A,D"], "'D'"),
+        ([f"A,X{i}" for i in range(7)], "'X0', 'X1', 'X2', 'X3', 'X4', ..."),
+    ])
+    def test_regions_outside_the_dataset_named(self, tmp_path, extra, named):
+        f = tmp_path / "adj.csv"
+        f.write_text("\n".join(["from,to", "A,B", "B,C"] + extra) + "\n")
+        with pytest.raises(GraphStructureError) as exc:
+            load_adjacency(f, region_ids=["A", "B", "C"])
+        assert str(exc.value) == f"{f}: regions not in the dataset: {named}"
+
     def test_self_loop_rejected(self):
         with pytest.raises(GraphStructureError, match="self-loop"):
             AdjacencyGraph(["A", "B"], [(0, 0), (0, 1)])
@@ -309,6 +358,17 @@ class TestOwnCsrAgainstScipy:
         W = scipy_csr(graph)
         for k, idx in enumerate(graph.coloring()):
             assert np.array_equal(ctx.neighbor_sums(k, phi), W[idx] @ phi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=hub_graphs())
+    def test_class_neighbor_index_is_the_per_region_concatenation(self, graph):
+        ctx = _FitContext(Dataset(graph.region_ids, np.ones(graph.n_regions, int),
+                                  np.ones(graph.n_regions), np.ones((graph.n_regions, 1))),
+                          graph, ModelSpec("is"))
+        for (rows, cols), idx in zip(ctx.color_nbrs, graph.coloring()):
+            assert np.array_equal(rows, np.repeat(np.arange(idx.size), graph.degrees[idx]))
+            assert np.array_equal(cols, np.concatenate([graph.neighbors(i) for i in idx]))
+            assert cols.dtype == graph._indices.dtype
 
     @settings(max_examples=60, deadline=None)
     @given(graph=hub_graphs())

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from arealrisk.model import (
     ModelSpec,
     _eta,
     _expit,
+    _log_factorial_sum,
     _poisson_terms,
     apply_link,
     internal_standardization,
@@ -261,6 +267,44 @@ class TestLikelihoods:
         assert got == np.sum(terms - gammaln(d.y + 1.0))
 
 
+# computes both likelihoods, then prints every scipy module the process loaded
+_SCIPY_GUARD = """
+import json, sys
+import numpy as np
+from arealrisk import Dataset, log_likelihood_cg, log_likelihood_is
+d = Dataset(["a", "b"], [3, 0], [10.0, 20.0], np.ones((2, 1)))
+log_likelihood_cg(d, [0.0], [0.0, 0.0], "logit")
+log_likelihood_is(d, [1.0, 2.0], [0.0], [0.0, 0.0])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+class TestLogFactorialConstant:
+    """The log(Y!) constants come from math.lgamma, without SciPy."""
+
+    def test_matches_scipy_gammaln(self):
+        y = np.unique(np.concatenate([np.arange(2000),
+                                      np.geomspace(1, 1e6, 3000).astype(np.int64)]))
+        assert y.max() == 10**6
+        oracle = gammaln(y + 1.0)
+        for v, want in zip(y, oracle):
+            assert _log_factorial_sum([v]) == pytest.approx(want, rel=1e-12, abs=0)
+        assert _log_factorial_sum(y) == pytest.approx(oracle.sum(), rel=1e-12, abs=0)
+        panel = y[:3000].reshape(1000, 3)
+        assert _log_factorial_sum(panel) == pytest.approx(gammaln(panel + 1.0).sum(),
+                                                          rel=1e-12, abs=0)
+
+    def test_likelihoods_load_no_scipy(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+
 class TestLinearPredictor:
     def test_static(self):
         d = static_dataset([1, 1], [5.0, 5.0])
@@ -344,3 +388,59 @@ class TestLoader:
         f.write_text("id,y,n\nA,3,100\n")
         with pytest.raises(ValueError, match="header"):
             load_dataset(f)
+
+    def test_duplicate_static_row_named(self, tmp_path):
+        f = tmp_path / "data.csv"
+        f.write_text("region,y,n\nA,3,100\nB,1,50\nA,4,110\n")
+        with pytest.raises(ValueError) as exc:
+            load_dataset(f)
+        assert str(exc.value) == f"{f}, line 4: duplicate row for region 'A'"
+
+    def test_duplicate_panel_row_named(self, tmp_path):
+        f = tmp_path / "data.csv"
+        f.write_text("region,year,y,n\nA,1990,3,100\nA,1991,4,110\n"
+                     "A,1990,4,110\n")
+        with pytest.raises(ValueError) as exc:
+            load_dataset(f)
+        assert str(exc.value) == (f"{f}, line 4: duplicate row for region 'A', "
+                                  "year 1990")
+
+    @pytest.mark.parametrize("text", [
+        "region,y,n,x1\nA,3,100,0.5\nB,1,50,-0.2\n",
+        "region,year,y,n,x1\nA,1990,3,100,0.5\nA,1991,4,110,0.1\n"
+        "B,1990,1,50,-0.2\nB,1991,2,55,0.0\n",
+    ])
+    def test_whitespace_rows_skipped(self, tmp_path, text):
+        clean = tmp_path / "clean.csv"
+        clean.write_text(text)
+        lines = text.splitlines()
+        padded = tmp_path / "padded.csv"
+        padded.write_text("\n".join(lines[:2] + ["   ", " , ,  ,", "\t"] + lines[2:]
+                                    + ["  "]) + "\n")
+        a, b = load_dataset(clean), load_dataset(padded)
+        assert a.region_ids == b.region_ids and a.times == b.times
+        for name in ("y", "n", "x"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_static_and_panel_arrays(self, tmp_path):
+        # regions keep their order of first appearance; times are sorted
+        f = tmp_path / "data.csv"
+        f.write_text("region,year,y,n,x1\nB,1991,4,110,0.1\nA,1990,3,100,0.5\n"
+                     "B,1990,1,50,-0.2\nA,1991,2,55,0.0\n")
+        d = load_dataset(f)
+        assert d.region_ids == ("B", "A") and d.times == (1990, 1991)
+        assert d.y.tolist() == [[1, 4], [3, 2]]
+        assert d.x[..., 1].tolist() == [[-0.2, 0.1], [0.5, 0.0]]
+        s = tmp_path / "static.csv"
+        s.write_text("region,y,n\nB,4,110\nA,3,100\n")
+        d = load_dataset(s)
+        assert d.y.shape == (2,) and d.x.shape == (2, 1)
+        assert d.n.tolist() == [110.0, 100.0]
+
+    def test_nonfinite_covariate_named(self, tmp_path):
+        f = tmp_path / "data.csv"
+        f.write_text("region,y,n,x1,x2\nA,3,100,0.5,1\nB,1,50,inf,2\n")
+        with pytest.raises(ValueError) as exc:
+            load_dataset(f)
+        assert str(exc.value) == (f"{f}, line 3: covariates must be finite, "
+                                  "got [inf, 2.0]")
