@@ -50,6 +50,7 @@ from .simstudy import (
     lattice_graph,
     run_study,
     simulate_counts,
+    study_report,
     synthetic_populations,
     write_matrix_csv,
 )
@@ -110,12 +111,14 @@ def _check_draws(config: SamplerConfig) -> None:
                          f"draws; summaries need at least {MIN_DRAWS}")
 
 
-def _add_sampler_flags(p, iterations=25_000, burn_in=5_000):
-    p.add_argument("--iterations", type=int, default=iterations,
+def _add_sampler_flags(p):
+    p.add_argument("--iterations", type=int, default=SamplerConfig.n_iterations,
                    help="total MCMC sweeps")
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=burn_in)
-    p.add_argument("--thin", type=int, default=2)
-    p.add_argument("--adapt-window", dest="adapt_window", type=int, default=250)
+    p.add_argument("--burn-in", dest="burn_in", type=int,
+                   default=SamplerConfig.burn_in)
+    p.add_argument("--thin", type=int, default=SamplerConfig.thin)
+    p.add_argument("--adapt-window", dest="adapt_window", type=int,
+                   default=SamplerConfig.adapt_window)
 
 
 def _add_common_flags(p):
@@ -258,8 +261,10 @@ STUDY_DEFAULTS = {
               "level": "0.9"},
     # studies tune toward an interior acceptance band so realized rates sit
     # inside the 15-40% requirement with margin after freezing
-    "sampler": {"iterations": "25000", "burn_in": "5000", "thin": "2",
-                "adapt_window": "250", "target_acceptance": "0.18,0.36"},
+    "sampler": {"iterations": str(SamplerConfig.n_iterations),
+                "burn_in": str(SamplerConfig.burn_in), "thin": str(SamplerConfig.thin),
+                "adapt_window": str(SamplerConfig.adapt_window),
+                "target_acceptance": "0.18,0.36"},
     "run": {"seed": "0", "jobs": "1"},
 }
 
@@ -343,9 +348,6 @@ def cmd_study(args) -> int:
                            t["hubs"])
     truth = build_truth(graph, pops, recipe)
     B = int(cfg["study"]["replicates"])
-
-    from .simstudy import study_report
-
     cells = {}
     for link in links:
         specs = [ModelSpec("cg", link=link,

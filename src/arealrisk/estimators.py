@@ -155,27 +155,35 @@ def summarize(risk: np.ndarray, region_ids, estimator: str,
 # artifact writers
 
 
-# the per-region fields of every summary artifact, each read off the summary
-# attribute it names; the interval columns keep their 90% names at any level
-_FIELDS = {"mean": "mean", "median": "median", "lo90": "lower", "hi90": "upper",
-           "length": "length", "exceedance": "exceedance"}
+# the summary attributes every summary artifact writes per region
+_FIELDS = ("mean", "median", "lower", "upper", "length", "exceedance")
+
+
+def _field_names(level: float) -> list:
+    """Names of ``_FIELDS``; the interval bounds carry the level (lo90, hi90 at 0.9)."""
+    pct = f"{100 * level:g}"
+    return ["mean", "median", f"lo{pct}", f"hi{pct}", "length", "exceedance"]
 
 
 def _field_columns(s: RiskSummary) -> list:
-    return [getattr(s, attr).tolist() for attr in _FIELDS.values()]
+    return [getattr(s, attr).tolist() for attr in _FIELDS]
 
 
 def write_summary_csv(summaries, path) -> None:
     """Write risk summaries as CSV.
 
     Header is ``region,time,estimator,mean,median,lo90,hi90,length,exceedance``
-    (the time column is omitted when all summaries are static). The interval
-    columns are named for the conventional 90% level regardless of the
-    summaries' actual level, which is recorded by the fit metadata.
+    at level 0.9 (the time column is omitted when all summaries are static).
+    The interval columns are named by 100 times the summaries' shared level:
+    ``lo80``/``hi80`` at 0.8, ``lo97.5``/``hi97.5`` at 0.975.
     """
     summaries = list(summaries)
+    levels = {s.level for s in summaries}
+    if len(levels) != 1:
+        raise ValueError(f"summaries must share one level, got {sorted(levels)}")
     with_time = any(s.time is not None for s in summaries)
-    cols = ["region"] + (["time"] if with_time else []) + ["estimator", *_FIELDS]
+    cols = (["region"] + (["time"] if with_time else [])
+            + ["estimator", *_field_names(levels.pop())])
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for s in summaries:
@@ -195,8 +203,9 @@ def write_geojson_properties(summaries, path) -> None:
     """
     out: dict = {}
     for s in summaries:
+        names = _field_names(s.level)
         for region, *values in zip(s.region_ids, *_field_columns(s)):
-            fields = dict(zip(_FIELDS, values))
+            fields = dict(zip(names, values))
             slot = out.setdefault(region, {})
             if s.time is None:
                 slot[s.estimator] = fields

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import MIN_DRAWS, _risk_draws
+from .estimators import _risk_draws, summarize
 from .model import Dataset, _write_json, internal_standardization
 from .sampler import PosteriorSamples
 
@@ -99,31 +99,28 @@ def evaluate_holdout(predicted, observed, level: float = 0.90,
 
     PMSE averages squared errors of predictive means over regions; CRPS is
     averaged over regions; coverage is the fraction of regions whose
-    equal-tailed predictive interval contains the observation.
+    equal-tailed predictive interval, from ``summarize``, contains the
+    observation.
     """
     predicted = np.asarray(predicted, dtype=float)
     observed = np.asarray(observed, dtype=float)
     if predicted.ndim != 2 or predicted.shape[1] != observed.size:
         raise ValueError("predicted draws not conformable with observations")
-    if predicted.shape[0] < MIN_DRAWS:
-        raise ValueError(f"need at least {MIN_DRAWS} predictive draws")
     if region_ids is None:
         region_ids = tuple(str(i) for i in range(observed.size))
-    tail = (1.0 - level) / 2.0
-    lower, upper = np.quantile(predicted, [tail, 1.0 - tail], axis=0)
-    mean = predicted.mean(axis=0)
+    s = summarize(predicted, region_ids, "predictive", level)
     crps = np.array([
         crps_empirical(predicted[:, i], observed[i]) for i in range(observed.size)
     ])
-    covered = (lower <= observed) & (observed <= upper)
+    covered = (s.lower <= observed) & (observed <= s.upper)
     return ForecastEvaluation(
-        region_ids=tuple(region_ids),
-        predictive_mean=mean,
-        lower=lower,
-        upper=upper,
+        region_ids=s.region_ids,
+        predictive_mean=s.mean,
+        lower=s.lower,
+        upper=s.upper,
         observed=observed,
         crps_per_region=crps,
-        pmse=float(np.mean((mean - observed) ** 2)),
+        pmse=float(np.mean((s.mean - observed) ** 2)),
         crps=float(crps.mean()),
         coverage=float(covered.mean()),
         level=level,

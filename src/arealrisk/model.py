@@ -377,6 +377,9 @@ def load_dataset(path) -> Dataset:
         if y < 0:
             raise ValueError(f"{path}, line {line}: count must be nonnegative, "
                              f"got {y}")
+        if y >= 2**63:
+            raise ValueError(f"{path}, line {line}: count must be below 2**63 "
+                             f"(the int64 range), got {y}")
         if not 0.0 < n < np.inf:
             raise ValueError(f"{path}, line {line}: population must be positive "
                              f"and finite, got {n}")

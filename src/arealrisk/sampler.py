@@ -18,7 +18,7 @@ freeze afterwards, preserving detailed balance for the retained draws.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,9 +82,14 @@ class SamplerConfig:
         return (self.n_iterations - self.burn_in) // self.thin
 
 
+# the drawn parameters, in the order of the draws CSV; the last three are
+# dynamic only
+_PARAMS = ("beta", "phi", "tau", "alpha", "rho", "omega")
+
+
 @dataclass
 class ChainState:
-    """Mutable MCMC state: parameters plus per-block proposal bookkeeping."""
+    """Mutable MCMC state: the parameters of ``_PARAMS``."""
 
     beta: np.ndarray
     phi: np.ndarray
@@ -92,9 +97,6 @@ class ChainState:
     alpha: np.ndarray | None = None
     rho: float | None = None
     omega: float | None = None
-    proposal_scales: dict = field(default_factory=dict)
-    acceptance_counts: dict = field(default_factory=dict)
-    proposal_counts: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -325,6 +327,19 @@ def adapt_scales(scales, accepted, proposed, target):
 # the chain runner
 
 
+class _Block:
+    """One Metropolis block's proposal scales and counters, entry by entry.
+
+    ``nonfinite`` counts the proposals whose log ratio was NaN or +inf.
+    """
+
+    def __init__(self, size):
+        self.scales = np.full(size, 0.1)
+        self.accepted = np.zeros(size)
+        self.proposed = np.zeros(size)
+        self.nonfinite = 0
+
+
 class _ChainRunner:
     def __init__(self, dataset, graph, spec, config):
         self.ctx = _FitContext(dataset, graph, spec)
@@ -335,32 +350,13 @@ class _ChainRunner:
                 "covariate matrix is rank deficient; drop redundant columns"
             )
         self.config = config
-        self.spec = spec
         self.rng = np.random.default_rng(config.seed)
-        self.I = data.n_regions
-        self.T = data.n_times
-        self.dynamic = spec.is_dynamic
-
-        st = ChainState(
-            beta=np.zeros(k),
-            phi=np.zeros(self.I),
-            tau=1.0,
-        )
-        st.proposal_scales = {
-            "phi": np.full(self.I, 0.1),
-            "beta": np.full(k, 0.1),
-        }
-        if self.dynamic:
-            st.alpha = np.zeros(self.T)
-            st.rho = 0.5
-            st.omega = 0.1
-            st.proposal_scales["alpha"] = np.full(self.T, 0.1)
-            st.proposal_scales["rho"] = np.full(1, 0.1)
-        for name, arr in st.proposal_scales.items():
-            st.acceptance_counts[name] = np.zeros_like(arr)
-            st.proposal_counts[name] = np.zeros_like(arr)
+        st = ChainState(beta=np.zeros(k), phi=np.zeros(data.n_regions), tau=1.0)
+        self.blocks = {"phi": _Block(data.n_regions), "beta": _Block(k)}
+        if spec.is_dynamic:
+            st.alpha, st.rho, st.omega = np.zeros(data.n_times), 0.5, 0.1
+            self.blocks.update(alpha=_Block(data.n_times), rho=_Block(1))
         self.state = st
-        self.nonfinite = dict.fromkeys(st.proposal_scales, 0)
         # the current state's x @ beta and per-cell likelihood terms, carried
         # through the sweep so each Metropolis step evaluates only its proposal
         self.xb = self.ctx.xb(st.beta)
@@ -368,32 +364,39 @@ class _ChainRunner:
 
     # -- individual updates -------------------------------------------------
 
-    def _finite_or_reject(self, delta, block):
-        """Turn NaN and +inf log-ratios into -inf (reject), counting them."""
-        n_bad = delta.size - np.count_nonzero(delta < np.inf)
-        if n_bad:
-            self.nonfinite[block] += n_bad
-            delta = np.where(delta < np.inf, delta, -np.inf)
-        return delta
+    def _accept(self, block, i, delta) -> bool:
+        """Metropolis test of entry ``i`` of ``block`` at log ratio ``delta``.
+
+        A NaN or +inf ratio is a rejection, counted as non-finite. Every test
+        draws one uniform; the proposal, and any acceptance, are counted.
+        """
+        if not delta < np.inf:
+            block.nonfinite += 1
+            delta = -np.inf
+        accept = np.log(self.rng.random()) < delta
+        block.proposed[i] += 1
+        block.accepted[i] += accept
+        return accept
 
     def update_phi_block(self):
         st = self.state
         ctx = self.ctx
-        scales = st.proposal_scales["phi"]
-        accepted = st.acceptance_counts["phi"]
+        block = self.blocks["phi"]
         # The cache is read, never written, here. A region's terms depend only
         # on its own phi and each region is in one class, so the reads stay
         # valid through the block; the recentering below leaves the cache
         # stale until update_beta rebuilds it.
         for k, idx in enumerate(ctx.colors):
             cur = st.phi[idx]
-            prop = cur + scales[idx] * self.rng.standard_normal(idx.size)
-            delta = self._finite_or_reject(
-                _phi_log_ratio(ctx, st, k, prop, self.xb, self.terms), "phi")
-            accept = np.log(self.rng.random(idx.size)) < delta
+            prop = cur + block.scales[idx] * self.rng.standard_normal(idx.size)
+            delta = _phi_log_ratio(ctx, st, k, prop, self.xb, self.terms)
+            # as in _accept: NaN and +inf reject and are counted, one uniform each
+            finite = delta < np.inf
+            block.nonfinite += finite.size - int(np.count_nonzero(finite))
+            accept = (np.log(self.rng.random(idx.size)) < delta) & finite
             st.phi[idx] = np.where(accept, prop, cur)
-            accepted[idx] += accept
-        st.proposal_counts["phi"] += 1  # the colour classes partition the regions
+            block.accepted[idx] += accept
+        block.proposed += 1  # the colour classes partition the regions
         # recenter: fold the mean into the intercept (likelihood invariant)
         shift = st.phi.mean()
         st.phi -= shift
@@ -403,53 +406,45 @@ class _ChainRunner:
     def update_beta(self):
         st = self.state
         ctx = self.ctx
-        scales = st.proposal_scales["beta"]
+        block = self.blocks["beta"]
         xb = ctx.xb(st.beta)
         terms = ctx.terms(xb, st.phi, st.alpha)
         cur_ll = float(terms.sum())
         for j in range(st.beta.size):
             prop = st.beta.copy()
-            prop[j] += scales[j] * self.rng.standard_normal()
+            prop[j] += block.scales[j] * self.rng.standard_normal()
             delta, carry = _beta_log_ratio(ctx, st, prop, cur_ll)
-            if not delta < np.inf:
-                delta = self._finite_or_reject(np.array([delta]), "beta")[0]
-            if np.log(self.rng.random()) < delta:
+            if self._accept(block, j, delta):
                 st.beta, (xb, terms, cur_ll) = prop, carry
-                st.acceptance_counts["beta"][j] += 1
-            st.proposal_counts["beta"][j] += 1
         self.xb = xb
         self.terms = terms
 
     def update_tau(self):
         st = self.state
-        a, b = self.spec.tau_prior
+        a, b = self.ctx.spec.tau_prior
         shape, rate = tau_posterior_params(self.ctx.graph, st.phi, a, b)
         st.tau = float(self.rng.gamma(shape, 1.0 / rate))
 
     def update_alpha(self):
         st = self.state
         terms = self.terms
-        scales = st.proposal_scales["alpha"]
-        for t in range(self.T):
-            prop = st.alpha[t] + scales[t] * self.rng.standard_normal()
+        block = self.blocks["alpha"]
+        for t in range(st.alpha.size):
+            prop = st.alpha[t] + block.scales[t] * self.rng.standard_normal()
             delta, prop_terms = _alpha_log_ratio(self.ctx, st, t, prop, self.xb, terms)
-            if not delta < np.inf:
-                delta = self._finite_or_reject(np.array([delta]), "alpha")[0]
-            if np.log(self.rng.random()) < delta:
+            if self._accept(block, t, delta):
                 st.alpha[t] = prop
                 terms[:, t] = prop_terms
-                st.acceptance_counts["alpha"][t] += 1
-            st.proposal_counts["alpha"][t] += 1
 
     def update_rho(self):
         st = self.state
-        prop = st.rho + st.proposal_scales["rho"][0] * self.rng.standard_normal()
-        st.proposal_counts["rho"][0] += 1
+        block = self.blocks["rho"]
+        prop = st.rho + block.scales[0] * self.rng.standard_normal()
         if not -1.0 < prop < 1.0:
-            return  # proposals outside the stationarity region are rejected
-        if np.log(self.rng.random()) < _rho_log_ratio(st, prop):
+            block.proposed[0] += 1
+            return  # proposals outside the stationarity region draw no uniform
+        if self._accept(block, 0, _rho_log_ratio(st, prop)):
             st.rho = float(prop)
-            st.acceptance_counts["rho"][0] += 1
 
     def update_omega(self):
         st = self.state
@@ -464,7 +459,7 @@ class _ChainRunner:
         self.update_phi_block()
         self.update_beta()
         self.update_tau()
-        if self.dynamic:
+        if self.ctx.spec.is_dynamic:
             self.update_alpha()
             self.update_rho()
             self.update_omega()
@@ -472,29 +467,25 @@ class _ChainRunner:
     def run(self) -> PosteriorSamples:
         cfg = self.config
         st = self.state
-        acc, tries = st.acceptance_counts, st.proposal_counts
+        blocks = self.blocks
 
         # burn-in: rescale the proposals after every window, then count afresh
         for it in range(1, cfg.burn_in + 1):
             self.sweep()
             if it % cfg.adapt_window == 0:
-                for name, scales in st.proposal_scales.items():
-                    adapt_scales(scales, acc[name], tries[name], cfg.target_acceptance)
-                    acc[name][:] = 0
-                    tries[name][:] = 0
+                for b in blocks.values():
+                    adapt_scales(b.scales, b.accepted, b.proposed, cfg.target_acceptance)
+                    b.accepted[:] = b.proposed[:] = 0
         # the kernel is frozen from here on; the reported rates count these
         # sweeps only, not the tail of a partial last window
-        for name in acc:
-            acc[name][:] = 0
-            tries[name][:] = 0
+        for b in blocks.values():
+            b.accepted[:] = b.proposed[:] = 0
 
-        n_draws = cfg.n_draws
-        out_beta = np.empty((n_draws, st.beta.size))
-        out_phi = np.empty((n_draws, self.I))
-        out_tau = np.empty(n_draws)
-        out_alpha = np.empty((n_draws, self.T)) if self.dynamic else None
-        out_rho = np.empty(n_draws) if self.dynamic else None
-        out_omega = np.empty(n_draws) if self.dynamic else None
+        # one (draw, ...) array per parameter the state holds
+        out = {name: None if getattr(st, name) is None
+               else np.empty((cfg.n_draws, *np.shape(getattr(st, name))))
+               for name in _PARAMS}
+        kept = [name for name in _PARAMS if out[name] is not None]
         for it in range(1, cfg.n_iterations - cfg.burn_in + 1):
             self.sweep()
             if it % cfg.thin:
@@ -509,36 +500,25 @@ class _ChainRunner:
                     f"beta={st.beta!r} tau={st.tau!r}"
                 )
             d = it // cfg.thin - 1
-            out_beta[d] = st.beta
-            out_phi[d] = st.phi
-            out_tau[d] = st.tau
-            if self.dynamic:
-                out_alpha[d] = st.alpha
-                out_rho[d] = st.rho
-                out_omega[d] = st.omega
+            for name in kept:
+                out[name][d] = getattr(st, name)
 
-        for block, count in self.nonfinite.items():
-            if count:
+        for name, b in blocks.items():
+            if b.nonfinite:
                 logger.warning(
                     "%d non-finite Metropolis target(s) in block %r; "
-                    "those proposals were rejected", count, block,
+                    "those proposals were rejected", b.nonfinite, name,
                 )
-        acceptance = {name: acc[name] / np.where(tries[name] > 0, tries[name], np.nan)
-                      for name in acc}
         return PosteriorSamples(
-            spec=self.spec,
+            spec=self.ctx.spec,
             config=cfg,
             region_ids=self.ctx.dataset.region_ids,
             times=self.ctx.dataset.times,
-            beta=out_beta,
-            phi=out_phi,
-            tau=out_tau,
-            alpha=out_alpha,
-            rho=out_rho,
-            omega=out_omega,
-            acceptance=acceptance,
-            proposal_scales={k2: v.copy() for k2, v in st.proposal_scales.items()},
-            n_nonfinite_events=sum(self.nonfinite.values()),
+            acceptance={name: b.accepted / np.where(b.proposed > 0, b.proposed, np.nan)
+                        for name, b in blocks.items()},
+            proposal_scales={name: b.scales.copy() for name, b in blocks.items()},
+            n_nonfinite_events=sum(b.nonfinite for b in blocks.values()),
+            **out,
         )
 
 
@@ -557,27 +537,20 @@ def run_chain(dataset: Dataset, graph: AdjacencyGraph, spec: ModelSpec,
 # artifact writers
 
 
-def parameter_names(samples: PosteriorSamples) -> list:
-    names = [f"beta[{j}]" for j in range(samples.beta.shape[1])]
-    names += [f"phi[{r}]" for r in samples.region_ids]
-    names += ["tau"]
-    if samples.alpha is not None:
-        names += [f"alpha[{t}]" for t in samples.times]
-        names += ["rho", "omega"]
-    return names
-
-
 def write_draws_csv(samples: PosteriorSamples, path) -> None:
     """Dump all retained draws as ``draw,parameter,value`` rows."""
-    cols = [samples.beta, samples.phi, samples.tau[:, None]]
-    if samples.alpha is not None:
-        cols += [samples.alpha, samples.rho[:, None], samples.omega[:, None]]
-    mat = np.hstack(cols)
-    heads = [f",{name}," for name in parameter_names(samples)]
+    labels = {"beta": range(samples.beta.shape[1]), "phi": samples.region_ids,
+              "alpha": samples.times}
+    cols, heads = [], []
+    for name in _PARAMS:
+        if getattr(samples, name) is not None:
+            cols.append(getattr(samples, name))
+            heads += ([f",{name}[{i}]," for i in labels[name]] if name in labels
+                      else [f",{name},"])
     with open(path, "w", newline="") as fh:
         fh.write("draw,parameter,value\n")
         # one write per draw keeps memory flat; repr of a Python float is _fmt
-        for d, row in enumerate(mat):
+        for d, row in enumerate(np.column_stack(cols)):
             draw = str(d)
             fh.write("".join([draw + head + repr(v) + "\n"
                               for head, v in zip(heads, row.tolist())]))

@@ -105,6 +105,19 @@ class TestFit:
         assert len(lines) == 1 + 200 * 18
         assert lines[1].startswith("0,beta[0],")
 
+    def test_interval_columns_named_by_level(self, lattice_files, tmp_path):
+        rc = run_cli("fit", "--data", lattice_files / "dataset.csv",
+                     "--adjacency", lattice_files / "adjacency.csv",
+                     "--family", "cg", *FAST, "--level", "0.8", "--out", tmp_path)
+        assert rc == 0
+        fields = ["mean", "median", "lo80", "hi80", "length", "exceedance"]
+        header = (tmp_path / "summary.csv").read_text().split("\n")[0]
+        assert header == ",".join(["region", "estimator", *fields])
+        props = json.loads((tmp_path / "geojson_properties.json").read_text())
+        for region in props.values():
+            for tag in ("r_cg_tilde", "r_cg"):
+                assert list(region[tag]) == sorted(fields)
+
     def test_validation_failure_emits_error_json(self, lattice_files, tmp_path,
                                                  capsys):
         rc = run_cli("fit", "--data", lattice_files / "does_not_exist.csv",
@@ -442,6 +455,18 @@ class TestInputErrorsNameFileAndLine:
         assert err == {"error": "ValueError", "message":
                        f"{data}, line {len(lines) + 1}: duplicate row for region "
                        f"{region!r}"}
+
+    def test_count_above_int64_range(self, lattice_files, tmp_path, capsys):
+        lines = (lattice_files / "dataset.csv").read_text().splitlines()
+        region, _, n = lines[1].split(",")
+        lines[1] = f"{region},99999999999999999999,{n}"
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join(lines) + "\n")
+        assert self.fit(tmp_path, data, lattice_files / "adjacency.csv") != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message":
+                       f"{data}, line 2: count must be below 2**63 (the int64 "
+                       "range), got 99999999999999999999"}
 
     def test_duplicate_panel_row(self, panel_file, tmp_path, capsys):
         lines = (panel_file / "panel.csv").read_text().splitlines()

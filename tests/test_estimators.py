@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,26 @@ class TestWriters:
         assert len(lines) == 3
         assert lines[1].startswith("A,r_is,1.0,")
 
+    @pytest.mark.parametrize("level, pct", [(0.8, "80"), (0.975, "97.5"),
+                                            (0.5, "50"), (0.999, "99.9")])
+    def test_interval_columns_named_by_level(self, tmp_path, level, pct):
+        mat = np.tile([1.0, 2.0], (150, 1))
+        s = summarize(mat, ["A", "B"], "r_is", level)
+        path = tmp_path / "summary.csv"
+        write_summary_csv([s], path)
+        header = path.read_text().split("\n")[0]
+        assert header == (f"region,estimator,mean,median,lo{pct},hi{pct},"
+                          "length,exceedance")
+        write_geojson_properties([s], tmp_path / "props.json")
+        props = json.loads((tmp_path / "props.json").read_text())
+        assert {f"lo{pct}", f"hi{pct}"} <= set(props["A"]["r_is"])
+
+    def test_summary_csv_needs_one_level(self, tmp_path):
+        mat = np.tile([1.0, 2.0], (150, 1))
+        summaries = [summarize(mat, ["A", "B"], "r_cg", level) for level in (0.8, 0.9)]
+        with pytest.raises(ValueError, match="summaries must share one level"):
+            write_summary_csv(summaries, tmp_path / "summary.csv")
+
     def test_summary_csv_with_time(self, tmp_path):
         mat = np.tile([1.0, 2.0], (150, 1))
         s = summarize(mat, ["A", "B"], "r_cg", time=1990)
@@ -244,8 +266,6 @@ class TestWriters:
         assert lines[1].split(",")[1] == "1990"
 
     def test_geojson_properties_keyed_by_region(self, tmp_path):
-        import json
-
         mat = np.tile([1.0, 2.0], (150, 1))
         s = summarize(mat, ["A", "B"], "r_cg")
         path = tmp_path / "props.json"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arealrisk.estimators import _risk_draws
+from arealrisk.estimators import _risk_draws, summarize
 from arealrisk.metrics import (
     crps_empirical,
     evaluate_holdout,
@@ -211,6 +211,23 @@ class TestEvaluateHoldout:
         ev = evaluate_holdout(pred, obs)
         bias2 = np.mean((pred.mean(axis=0) - obs) ** 2)
         assert ev.pmse >= bias2 - 1e-12
+
+    def test_intervals_are_the_summary_intervals(self):
+        rng = np.random.default_rng(23)
+        obs = rng.uniform(0.5, 1.5, size=5)
+        pred = rng.gamma(4.0, 0.25, size=(300, 5))
+        for level in (0.5, 0.9, 0.975):
+            ev = evaluate_holdout(pred, obs, level=level)
+            s = summarize(pred, ev.region_ids, "r", level)
+            assert np.array_equal(ev.lower, s.lower)
+            assert np.array_equal(ev.upper, s.upper)
+            assert np.array_equal(ev.predictive_mean, s.mean)
+
+    @pytest.mark.parametrize("level", [1.5, 0.0])
+    def test_level_checked(self, level):
+        pred = np.tile([1.0, 2.0], (200, 1))
+        with pytest.raises(ValueError, match=r"level must be in \(0, 1\)"):
+            evaluate_holdout(pred, np.array([1.0, 2.0]), level=level)
 
     def test_observed_raw_risks_standardize_within_slice(self):
         d = panel_dataset()

@@ -237,8 +237,8 @@ class TestFullConditionalConsistency:
         runner.rng = OutOfRange()
         runner.update_rho()
         assert st.rho == 0.5
-        assert st.acceptance_counts["rho"][0] == 0
-        assert st.proposal_counts["rho"][0] == 1
+        assert runner.blocks["rho"].accepted[0] == 0
+        assert runner.blocks["rho"].proposed[0] == 1
 
     def test_huge_tau_pins_phi_to_neighbor_mean(self):
         rng = np.random.default_rng(5)
@@ -495,21 +495,21 @@ class TestRunChain:
         reported = run_chain(data, graph, spec, cfg).acceptance
 
         runner = _ChainRunner(data, graph, spec, cfg)
-        st, sweep, per_sweep = runner.state, runner.sweep, []
+        blocks, sweep, per_sweep = runner.blocks, runner.sweep, []
 
         def counted_sweep():
-            before = {b: (st.acceptance_counts[b].copy(), st.proposal_counts[b].copy())
-                      for b in st.proposal_scales}
+            before = {b: (blocks[b].accepted.copy(), blocks[b].proposed.copy())
+                      for b in blocks}
             sweep()
-            per_sweep.append({b: (st.acceptance_counts[b] - acc,
-                                  st.proposal_counts[b] - tries)
+            per_sweep.append({b: (blocks[b].accepted - acc,
+                                  blocks[b].proposed - tries)
                               for b, (acc, tries) in before.items()})
 
         runner.sweep = counted_sweep
         runner.run()
         assert len(per_sweep) == cfg.n_iterations
         post = per_sweep[burn_in:]
-        assert set(reported) == set(st.proposal_scales)
+        assert set(reported) == set(blocks)
         for block, rate in reported.items():
             accepted = sum(counts[block][0] for counts in post)
             proposed = sum(counts[block][1] for counts in post)
@@ -570,12 +570,44 @@ class TestNonFinite:
             real, calls = ctx.terms, itertools.count()
             ctx.terms = lambda *a: real(*a) + (bad if next(calls) else 0.0)
 
-    def test_array_deltas_rejected_and_counted(self):
-        runner = self.dynamic_runner()
-        out = runner._finite_or_reject(np.array([0.5, np.nan, np.inf, -np.inf]),
-                                       "phi")
-        assert np.array_equal(out, [0.5, -np.inf, -np.inf, -np.inf])
-        assert runner.nonfinite == {"phi": 2, "beta": 0, "alpha": 0, "rho": 0}
+    @staticmethod
+    def nonfinite(runner):
+        return {name: block.nonfinite for name, block in runner.blocks.items()}
+
+    def test_phi_class_rejects_every_nonfinite_kind(self, monkeypatch):
+        # one colour class sees finite, NaN, +inf and -inf ratios; the others
+        # see -inf. Only the finite ratio (0.0, always accepted) moves phi, and
+        # only NaN and +inf count as non-finite events
+        graph, data = covariate_problem(np.random.default_rng(36), k=2, T=4, I=12)
+        runner = _ChainRunner(data, graph, ModelSpec("cg", temporal="dynamic_ar1"),
+                              quick_config())
+        k = int(np.argmax([idx.size for idx in runner.ctx.colors]))
+        idx = runner.ctx.colors[k]
+        mixed = np.resize([0.0, np.nan, np.inf, -np.inf], idx.size)
+        assert idx.size >= 4
+        monkeypatch.setattr(sampler, "_phi_log_ratio",
+                            lambda ctx, st, c, prop, xb, terms:
+                            mixed.copy() if c == k else np.full(prop.size, -np.inf))
+
+        class CountedUniforms:  # every proposal, rejected or not, draws one
+            sizes = []
+            standard_normal = runner.rng.standard_normal
+
+            def random(self, size):
+                self.sizes.append(size)
+                return rng.random(size)
+
+        rng, runner.rng = runner.rng, CountedUniforms()
+        runner.update_phi_block()
+        block = runner.blocks["phi"]
+        expected = np.zeros(block.accepted.size)
+        expected[idx] = mixed == 0.0
+        assert np.array_equal(block.accepted, expected)
+        assert np.all(block.proposed == 1)
+        assert CountedUniforms.sizes == [c.size for c in runner.ctx.colors]
+        n_bad = int(np.sum(np.isnan(mixed) | (mixed == np.inf)))
+        assert self.nonfinite(runner) == {"phi": n_bad, "beta": 0, "alpha": 0,
+                                          "rho": 0}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("block, update", [("phi", "update_phi_block"),
@@ -588,11 +620,23 @@ class TestNonFinite:
         self.poison(runner, block, bad)
         getattr(runner, update)()
         assert np.array_equal(getattr(st, block), before)
-        assert st.acceptance_counts[block].sum() == 0
-        n_proposals = st.proposal_counts[block].sum()
+        assert runner.blocks[block].accepted.sum() == 0
+        n_proposals = runner.blocks[block].proposed.sum()
         assert n_proposals == before.size
-        assert runner.nonfinite == {name: n_proposals if name == block else 0
-                                    for name in ("phi", "beta", "alpha", "rho")}
+        assert self.nonfinite(runner) == {name: n_proposals if name == block else 0
+                                          for name in ("phi", "beta", "alpha", "rho")}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rho_ratio_rejected_and_counted(self, monkeypatch, bad):
+        runner = self.dynamic_runner()
+        st, block = runner.state, runner.blocks["rho"]
+        st.rho = 0.0  # at scale 0.1 every proposal lies inside (-1, 1)
+        monkeypatch.setattr(sampler, "_rho_log_ratio", lambda st, prop: bad)
+        for _ in range(5):
+            runner.update_rho()
+        assert st.rho == 0.0
+        assert block.accepted[0] == 0 and block.proposed[0] == 5
+        assert self.nonfinite(runner) == {"phi": 0, "beta": 0, "alpha": 0, "rho": 5}
 
     def test_one_warning_per_block_at_end_of_chain(self, caplog):
         runner = self.dynamic_runner()
@@ -600,7 +644,8 @@ class TestNonFinite:
         self.poison(runner, "alpha", np.inf)
         with caplog.at_level(logging.WARNING, logger="arealrisk.sampler"):
             samples = runner.run()
-        I, T, sweeps = runner.I, runner.T, runner.config.n_iterations
+        data, sweeps = runner.ctx.dataset, runner.config.n_iterations
+        I, T = data.n_regions, data.n_times
         assert samples.n_nonfinite_events == (I + T) * sweeps
         messages = [r.getMessage() for r in caplog.records]
         assert messages == [
@@ -633,8 +678,8 @@ class TestSweepCallsTheCheckedRatios:
             runner.sweep()
         for block, value in before.items():
             assert np.array_equal(getattr(st, block), value), block
-            assert st.acceptance_counts[block].sum() == 0, block
-            assert np.all(st.proposal_counts[block] == 5), block
+            assert runner.blocks[block].accepted.sum() == 0, block
+            assert np.all(runner.blocks[block].proposed == 5), block
 
 
 class TestCalibration:
