@@ -171,12 +171,16 @@ def cmd_fit(args) -> int:
 # simulate
 
 
+def _floats(text: str) -> tuple:
+    """The floats of a comma-separated list."""
+    return tuple(float(v) for v in text.split(","))
+
+
 def _truth_recipe(baseline, hub_bumps, neighbor_bump, hubs) -> TruthRecipe:
-    """The truth recipe from comma-separated hub bumps and hub ids."""
+    """The truth recipe, with hub ids from a comma-separated list."""
     hub_ids = tuple(h.strip() for h in (hubs or "").split(",") if h.strip())
-    return TruthRecipe(baseline=float(baseline),
-                       hub_bumps=tuple(float(v) for v in hub_bumps.split(",")),
-                       neighbor_bump=float(neighbor_bump), hubs=hub_ids or None)
+    return TruthRecipe(baseline=baseline, hub_bumps=hub_bumps,
+                       neighbor_bump=neighbor_bump, hubs=hub_ids or None)
 
 
 def _graph_and_populations(args, seed):
@@ -228,8 +232,8 @@ def _write_adjacency_csv(graph, path) -> None:
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     graph, pops = _graph_and_populations(args, seed)
-    recipe = _truth_recipe(args.baseline, args.hub_bumps, args.neighbor_bump,
-                           args.hubs)
+    recipe = _truth_recipe(args.baseline, _floats(args.hub_bumps),
+                           args.neighbor_bump, args.hubs)
     truth = build_truth(graph, pops, recipe)
     dataset = simulate_counts(truth, seed=derive_seed(seed, "replicate", 0))
 
@@ -298,56 +302,72 @@ def _study_settings(args) -> dict:
     return cfg
 
 
+def _pair(text: str) -> tuple:
+    """Two comma-separated floats."""
+    pair = _floats(text)
+    if len(pair) != 2:
+        raise ValueError(f"expected two comma-separated numbers, got {text!r}")
+    return pair
+
+
 def cmd_study(args) -> int:
     cfg = _study_settings(args)
-    seed = int(cfg["run"]["seed"])
+
+    def setting(section, key, kind=float):
+        """``[section] key`` converted by ``kind``; a bad value names the key."""
+        try:
+            return kind(cfg[section][key])
+        except ValueError as exc:
+            raise CommandError(f"{args.config}: [{section}] {key}: {exc}") from None
+
+    seed = setting("run", "seed", int)
     # the report echoes cfg; jobs leaves it so that the report is the same
     # whatever the number of worker processes
-    jobs = int(cfg["run"].pop("jobs"))
-    level = float(cfg["study"]["level"])
+    jobs = setting("run", "jobs", int)
+    del cfg["run"]["jobs"]
+    level = setting("study", "level")
     _check_level(level)
-    band = tuple(float(v) for v in cfg["sampler"]["target_acceptance"].split(","))
     sampler_config = SamplerConfig(
-        n_iterations=int(cfg["sampler"]["iterations"]),
-        burn_in=int(cfg["sampler"]["burn_in"]),
-        thin=int(cfg["sampler"]["thin"]),
+        n_iterations=setting("sampler", "iterations", int),
+        burn_in=setting("sampler", "burn_in", int),
+        thin=setting("sampler", "thin", int),
         seed=0,  # per-fit seeds are derived inside the study
-        adapt_window=int(cfg["sampler"]["adapt_window"]),
-        target_acceptance=band,
+        adapt_window=setting("sampler", "adapt_window", int),
+        target_acceptance=setting("sampler", "target_acceptance", _pair),
     )
     _check_draws(sampler_config)
     links = [s.strip() for s in cfg["study"]["links"].split(",") if s.strip()]
+    if not links:
+        raise CommandError("no link to fit: [study] links (or --link) is "
+                           f"{cfg['study']['links']!r}")
     for link in links:
         if link not in LINKS:
             raise CommandError(f"unknown link {link!r}")
     c0 = None
     if "skewed_logit" in links:
-        raw_c0 = cfg["study"].get("c0", "").strip()
-        if not raw_c0:
+        if not cfg["study"].get("c0", "").strip():
             raise CommandError("skewed_logit requested but config key "
                                "[study] c0 is missing")
-        c0 = float(raw_c0)
+        c0 = setting("study", "c0")
 
     if cfg["graph"]["adjacency"]:
         graph = load_adjacency(cfg["graph"]["adjacency"])
     else:
-        graph = lattice_graph(int(cfg["graph"]["lattice"]))
-    scale = float(cfg["populations"]["scale"])
+        graph = lattice_graph(setting("graph", "lattice", int))
+    scale = setting("populations", "scale")
     if cfg["populations"]["path"]:
         pops = np.round(_load_populations(cfg["populations"]["path"], graph) * scale)
     else:
-        pops = synthetic_populations(
-            graph.n_regions, seed,
-            low=float(cfg["populations"]["low"]),
-            high=float(cfg["populations"]["high"]),
-            scale=scale,
-        )
+        pops = synthetic_populations(graph.n_regions, seed,
+                                     low=setting("populations", "low"),
+                                     high=setting("populations", "high"),
+                                     scale=scale)
 
-    t = cfg["truth"]
-    recipe = _truth_recipe(t["baseline"], t["hub_bumps"], t["neighbor_bump"],
-                           t["hubs"])
+    recipe = _truth_recipe(setting("truth", "baseline"),
+                           setting("truth", "hub_bumps", _floats),
+                           setting("truth", "neighbor_bump"), cfg["truth"]["hubs"])
     truth = build_truth(graph, pops, recipe)
-    B = int(cfg["study"]["replicates"])
+    B = setting("study", "replicates", int)
     cells = {}
     for link in links:
         specs = [ModelSpec("cg", link=link,

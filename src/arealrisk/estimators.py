@@ -87,11 +87,7 @@ def risk_cg_tilde(samples: PosteriorSamples, dataset: Dataset,
 
     E is ``internal_standardization(dataset)``, at slice ``t`` for a panel.
     """
-    p = incidence_draws(samples, dataset, t)
-    n, E = dataset.n, internal_standardization(dataset)
-    if dataset.is_dynamic:
-        n, E = n[:, t], E[:, t]
-    return p * (n / E)[None, :]
+    return _cg_tilde(incidence_draws(samples, dataset, t), dataset, t)
 
 
 def risk_cg_true(samples: PosteriorSamples, dataset: Dataset,
@@ -101,7 +97,17 @@ def risk_cg_true(samples: PosteriorSamples, dataset: Dataset,
     pbar = sum_i n_i p_i / sum_i n_i, so every draw satisfies
     sum_i n_i r_i = sum_i n_i exactly.
     """
-    p = incidence_draws(samples, dataset, t)
+    return _cg_true(incidence_draws(samples, dataset, t), dataset, t)
+
+
+def _cg_tilde(p, dataset: Dataset, t):
+    n, E = dataset.n, internal_standardization(dataset)
+    if dataset.is_dynamic:
+        n, E = n[:, t], E[:, t]
+    return p * (n / E)[None, :]
+
+
+def _cg_true(p, dataset: Dataset, t):
     n_t = dataset.n[:, t] if dataset.is_dynamic else dataset.n
     pbar = (p @ n_t) / n_t.sum()
     return p / pbar[:, None]
@@ -112,12 +118,13 @@ def _risk_draws(samples: PosteriorSamples, dataset: Dataset,
     """Draws of every estimator a fit provides at slice ``t``, by tag.
 
     An IS fit gives ``r_is``; a CG fit gives ``r_cg_tilde`` (against the
-    internally standardized expected counts) and ``r_cg``.
+    internally standardized expected counts) and ``r_cg``, both from one
+    matrix of incidence draws.
     """
     if samples.spec.family == "is":
         return {"r_is": risk_is(samples, dataset, t)}
-    return {"r_cg_tilde": risk_cg_tilde(samples, dataset, t),
-            "r_cg": risk_cg_true(samples, dataset, t)}
+    p = incidence_draws(samples, dataset, t)
+    return {"r_cg_tilde": _cg_tilde(p, dataset, t), "r_cg": _cg_true(p, dataset, t)}
 
 
 def _check_level(level: float) -> None:

@@ -4,11 +4,12 @@ Two model families share the machinery here. The internally standardized
 (IS) family models relative risk on the log scale against expected counts
 computed from the pooled observed rate; the coherent generative (CG) family
 models incidence directly through a choice of logit, complementary log-log,
-or skewed-logit link. Both reduce to sums of independent Poisson log-pmfs,
-kept with their normalizing constants so values are comparable across
-families. The linear predictor and the per-cell Poisson terms are defined
-here once, for the sampler, the estimators and forecasting alike, as is the
-way every artifact writes floats and JSON.
+or skewed-logit link. Both are one Poisson likelihood with log mean
+offset + g(eta): log E + eta for IS, log n + log p for CG. Its terms keep
+their normalizing constants, so values are comparable across families. The
+linear predictor, g and the Poisson kernel are defined here once, for the
+sampler, the estimators and forecasting alike, as is the way every artifact
+writes floats and JSON.
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ LINKS = ("logit", "cloglog", "skewed_logit")
 FAMILIES = ("is", "cg")
 TEMPORAL_MODES = ("static", "dynamic_ar1")
 
-# probabilities are clamped away from {0,1} so Poisson means stay positive
-PROB_EPS = 1e-12
-
-# arguments above this would overflow exp(): log IS means, cloglog's eta
-# and logit's -eta are capped here
+# exp() overflows above ~709.8 and underflows below ~-745: the log means
+# that the Poisson kernel exponentiates are capped here, and the links
+# bound the arguments of their own exp() calls at plus or minus this
 _ETA_MAX = 700.0
 
 
@@ -208,30 +207,31 @@ def internal_standardization(dataset: Dataset) -> np.ndarray:
     return dataset.n * (totals / dataset.n.sum(axis=0))
 
 
-def apply_link(link: str, eta, c0: float | None = None) -> np.ndarray:
-    """Map a linear predictor to an incidence probability in (0, 1).
+def _log_link(link: str | None, eta, c0: float | None = None):
+    """g(eta), the log of the inverse link: a CG cell's log incidence.
 
-    logit: 1/(1+e^-eta); cloglog: 1-exp(-e^eta);
-    skewed_logit: c0*e^eta/(1+c0*e^eta). Results are clamped to
-    [PROB_EPS, 1-PROB_EPS] so downstream logs stay finite.
+    logit: log(1/(1+e^-eta)) = min(eta, 0) - log1p(e^-|eta|); skewed_logit:
+    the logit's g at eta + log(c0); cloglog: log(1-exp(-e^eta)), with eta
+    bounded at +-``_ETA_MAX``. ``link`` None is the IS family's log link,
+    where g is the identity. For finite eta each g is finite and
+    nondecreasing, and raises no floating-point warning.
     """
-    eta = np.asarray(eta, dtype=float)
-    if link == "logit":
-        p = _expit(eta)
-    elif link == "cloglog":
-        p = -np.expm1(-np.exp(np.minimum(eta, _ETA_MAX)))
-    elif link == "skewed_logit":
+    if link is None:
+        return eta
+    if link == "skewed_logit":
         if c0 is None or not c0 > 0:
             raise ValueError("skewed_logit requires c0 > 0")
-        p = _expit(eta + np.log(c0))
-    else:
-        raise ValueError(f"unknown link {link!r}")
-    return p.clip(PROB_EPS, 1.0 - PROB_EPS)  # the method skips np.clip's wrapper
+        link, eta = "logit", eta + np.log(c0)
+    if link == "logit":
+        return np.minimum(eta, 0.0) - np.log1p(np.exp(-np.minimum(np.abs(eta), _ETA_MAX)))
+    if link == "cloglog":
+        return np.log(-np.expm1(-np.exp(eta.clip(-_ETA_MAX, _ETA_MAX))))
+    raise ValueError(f"unknown link {link!r}")
 
 
-def _expit(eta):
-    """The logistic function 1/(1+e^-eta), without an overflow warning."""
-    return 1.0 / (1.0 + np.exp(-np.maximum(eta, -_ETA_MAX)))
+def apply_link(link: str, eta, c0: float | None = None) -> np.ndarray:
+    """Incidence probabilities exp(g(eta)), unclamped; g is ``_log_link``."""
+    return np.exp(_log_link(link, np.asarray(eta, dtype=float), c0))
 
 
 def _eta(xb, phi, alpha=None):
@@ -246,17 +246,13 @@ def _eta(xb, phi, alpha=None):
     return eta if alpha is None else eta + alpha
 
 
-def _poisson_terms(y, n, eta, spec: ModelSpec, E=None):
+def _poisson_terms(y, offset, eta, spec: ModelSpec):
     """Per-cell Poisson log-likelihood terms without the log(Y!) constant.
 
-    CG: mean n * link^-1(eta); IS: mean E * exp(eta), with log means capped
-    at ``_ETA_MAX`` inside exp() so that a huge eta stays finite.
+    The one kernel of both families: y*l - exp(l) at l = offset + g(eta),
+    where exp() sees l capped at ``_ETA_MAX`` so a huge IS eta stays finite.
     """
-    if spec.family == "cg":
-        p = apply_link(spec.link, eta, spec.c0)
-        mu = n * p
-        return y * np.log(mu) - mu
-    log_mu = np.log(E) + eta
+    log_mu = offset + _log_link(spec.link, eta, spec.c0)
     return y * log_mu - np.exp(np.minimum(log_mu, _ETA_MAX))
 
 
@@ -265,9 +261,9 @@ def _log_factorial_sum(y) -> float:
     return math.fsum(map(math.lgamma, (np.asarray(y, dtype=float) + 1.0).flat))
 
 
-def _log_likelihood(dataset: Dataset, spec: ModelSpec, beta, phi, alpha=None,
-                    E=None) -> float:
-    """Summed Poisson terms plus the log(Y!) constants."""
+def _log_likelihood(dataset: Dataset, spec: ModelSpec, offset, beta, phi,
+                    alpha=None) -> float:
+    """Summed Poisson terms at log-mean ``offset`` plus the log(Y!) constants."""
     beta = np.asarray(beta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if alpha is not None:
@@ -275,7 +271,7 @@ def _log_likelihood(dataset: Dataset, spec: ModelSpec, beta, phi, alpha=None,
             raise ValueError("alpha supplied for a static dataset")
         alpha = np.asarray(alpha, dtype=float)
     eta = _eta(dataset.x @ beta, phi, alpha)
-    terms = _poisson_terms(dataset.y, dataset.n, eta, spec, E)
+    terms = _poisson_terms(dataset.y, offset, eta, spec)
     return float(np.sum(terms)) - _log_factorial_sum(dataset.y)
 
 
@@ -287,8 +283,8 @@ def log_likelihood_cg(
     Y ~ Poisson(n * p) with link(p) = x'beta + phi (+ alpha_t in panels).
     Constants (log Y!) are retained.
     """
-    return _log_likelihood(dataset, ModelSpec("cg", link=link, c0=c0), beta, phi,
-                           alpha)
+    return _log_likelihood(dataset, ModelSpec("cg", link=link, c0=c0),
+                           np.log(dataset.n), beta, phi, alpha)
 
 
 def log_likelihood_is(dataset: Dataset, E, beta, phi, alpha=None) -> float:
@@ -302,7 +298,7 @@ def log_likelihood_is(dataset: Dataset, E, beta, phi, alpha=None) -> float:
         raise ValueError(f"E has shape {E.shape}, expected {dataset.y.shape}")
     if np.any(E <= 0):
         raise ValueError("expected counts must be strictly positive")
-    return _log_likelihood(dataset, ModelSpec("is"), beta, phi, alpha, E)
+    return _log_likelihood(dataset, ModelSpec("is"), np.log(E), beta, phi, alpha)
 
 
 def _fmt(v) -> str:

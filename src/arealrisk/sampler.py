@@ -151,11 +151,15 @@ class _FitContext:
         self.dataset = dataset
         self.graph = graph
         self.spec = spec
-        self.E = internal_standardization(dataset) if spec.family == "is" else None
         self.y = dataset.y
-        self.n = dataset.n
         self.x = dataset.x
+        # the Poisson kernel's log-mean offset: log E (IS) or log n (CG)
+        self.offset = np.log(internal_standardization(dataset)
+                             if spec.family == "is" else dataset.n)
         self.colors = graph.coloring()
+        # per class: its regions' counts and offsets, gathered once
+        self.color_data = [(self.y.take(idx, axis=0), self.offset.take(idx, axis=0))
+                           for idx in self.colors]
         # per class: each CSR entry's row within the class, and its neighbour,
         # gathered from the class's CSR row segments in class order
         self.color_nbrs = []
@@ -182,25 +186,23 @@ class _FitContext:
 
     def terms(self, xb, phi, alpha=None):
         """Per-cell likelihood terms of the whole state, shaped like ``y``."""
-        return _poisson_terms(self.y, self.n, _eta(xb, phi, alpha), self.spec, self.E)
+        return _poisson_terms(self.y, self.offset, _eta(xb, phi, alpha), self.spec)
 
-    def region_loglik(self, idx, phi_vals, xb, alpha=None):
-        """Likelihood terms of regions ``idx`` with spatial effects ``phi_vals``.
+    def region_loglik(self, k, phi_vals, xb, alpha=None):
+        """Likelihood terms of colour class ``k``'s regions at effects ``phi_vals``.
 
-        Rows are gathered with ``take``, which on panel arrays costs about a
-        third of the equivalent fancy index.
+        Rows of ``xb`` are gathered with ``take``, which on panel arrays costs
+        about a third of the equivalent fancy index.
         """
-        E = None if self.E is None else self.E.take(idx, axis=0)
-        eta = _eta(xb.take(idx, axis=0), phi_vals, alpha)
-        terms = _poisson_terms(self.y.take(idx, axis=0), self.n.take(idx, axis=0),
-                               eta, self.spec, E)
+        y, offset = self.color_data[k]
+        eta = _eta(xb.take(self.colors[k], axis=0), phi_vals, alpha)
+        terms = _poisson_terms(y, offset, eta, self.spec)
         return terms.sum(axis=1) if self.dataset.is_dynamic else terms
 
     def slice_terms(self, t, beta_xb, phi, alpha_t):
         """Per-region likelihood terms of time slice ``t`` (dynamic only)."""
-        E = None if self.E is None else self.E[:, t]
         eta = _eta(beta_xb[:, t], phi, alpha_t)
-        return _poisson_terms(self.y[:, t], self.n[:, t], eta, self.spec, E)
+        return _poisson_terms(self.y[:, t], self.offset[:, t], eta, self.spec)
 
 
 def ar1_log_prior(alpha, rho, omega) -> float:
@@ -253,7 +255,7 @@ def _phi_log_ratio(ctx, st, k, prop, xb, terms):
     cur_lik = terms.take(idx, axis=0)
     if ctx.dataset.is_dynamic:
         cur_lik = cur_lik.sum(axis=1)
-    d_lik = ctx.region_loglik(idx, prop, xb, st.alpha) - cur_lik
+    d_lik = ctx.region_loglik(k, prop, xb, st.alpha) - cur_lik
     return d_prior + d_lik
 
 

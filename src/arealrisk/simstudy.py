@@ -338,6 +338,9 @@ def synthetic_populations(n_regions: int, master_seed: int,
                           low: float = 2e4, high: float = 2e5,
                           scale: float = 1.0) -> np.ndarray:
     """Log-uniform populations in [low, high], deterministic per seed."""
+    if not 0.0 < low <= high < np.inf:
+        raise ValueError(f"populations need 0 < low <= high < inf, got low={low}, "
+                         f"high={high}")
     rng = derive_rng(master_seed, "populations")
     pops = np.exp(rng.uniform(np.log(low), np.log(high), size=n_regions))
     return np.round(pops * scale)

@@ -585,6 +585,50 @@ class TestShortChainRejectedUpFront:
         self.assert_rejected(rc, capsys, 99)
 
 
+class TestStudyConfigErrors:
+    """A bad study setting fails through the JSON error path, before any fit."""
+
+    def assert_rejected(self, rc, capsys, error, message):
+        assert rc != 0
+        assert json.loads(capsys.readouterr().err) == {"error": error,
+                                                       "message": message}
+
+    def run_ini(self, tmp_path, text, graph="lattice = 3"):
+        cfg = tmp_path / "study.ini"
+        cfg.write_text(f"[graph]\n{graph}\n" + text)
+        return cfg, run_cli("study", "--config", cfg, "--out", tmp_path / "out")
+
+    def test_empty_link_flag(self, tmp_path, capsys, no_sampling):
+        rc = run_cli("study", "--link", ",", "--out", tmp_path)
+        self.assert_rejected(rc, capsys, "CommandError",
+                             "no link to fit: [study] links (or --link) is ','")
+
+    def test_empty_link_ini(self, tmp_path, capsys, no_sampling):
+        # rejected before the (missing) adjacency file is read
+        _, rc = self.run_ini(tmp_path, "[study]\nlinks =\n",
+                             graph=f"adjacency = {tmp_path / 'missing.csv'}")
+        self.assert_rejected(rc, capsys, "CommandError",
+                             "no link to fit: [study] links (or --link) is ''")
+
+    def test_population_low_zero(self, tmp_path, capsys, no_sampling):
+        _, rc = self.run_ini(tmp_path, "[populations]\nlow = 0\n")
+        self.assert_rejected(rc, capsys, "ValueError",
+                             "populations need 0 < low <= high < inf, got low=0.0, "
+                             "high=200000.0")
+
+    def test_target_acceptance_one_value(self, tmp_path, capsys, no_sampling):
+        cfg, rc = self.run_ini(tmp_path, "[sampler]\ntarget_acceptance = 0.2\n")
+        self.assert_rejected(rc, capsys, "CommandError",
+                             f"{cfg}: [sampler] target_acceptance: expected two "
+                             "comma-separated numbers, got '0.2'")
+
+    def test_adapt_window_not_an_integer(self, tmp_path, capsys, no_sampling):
+        cfg, rc = self.run_ini(tmp_path, "[sampler]\nadapt_window = abc\n")
+        self.assert_rejected(rc, capsys, "CommandError",
+                             f"{cfg}: [sampler] adapt_window: invalid literal for "
+                             "int() with base 10: 'abc'")
+
+
 # runs the CLI, then reports on stderr every scipy module the process loaded
 _SCIPY_GUARD = """
 import json, sys

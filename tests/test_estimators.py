@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from arealrisk.estimators import (
+    _risk_draws,
     incidence_draws,
     risk_cg_tilde,
     risk_cg_true,
@@ -150,6 +151,31 @@ class TestRiskCgTrue:
                          ["A", "B"])
         with pytest.raises(TypeError):
             risk_cg_true(s, small_dataset())
+
+
+class TestRiskDraws:
+    @pytest.mark.parametrize("link,c0", [("logit", None), ("cloglog", None),
+                                         ("skewed_logit", 0.004)])
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_cg_dict_equals_public_functions(self, link, c0, dynamic):
+        # both estimators come from one incidence matrix, with the same bits
+        rng = np.random.default_rng(3)
+        D, I, T = 150, 6, 4
+        shape = (I, T) if dynamic else (I,)
+        d = Dataset([f"r{i}" for i in range(I)], rng.integers(0, 40, size=shape),
+                    rng.uniform(200.0, 900.0, size=shape), np.ones(shape + (1,)),
+                    times=tuple(range(T)) if dynamic else None)
+        spec = ModelSpec("cg", link=link, c0=c0,
+                         temporal="dynamic_ar1" if dynamic else "static")
+        s = make_samples(spec, rng.normal(-3.0, 0.5, size=(D, 1)),
+                         rng.normal(scale=0.5, size=(D, I)), d.region_ids,
+                         alpha=rng.normal(scale=0.2, size=(D, T)) if dynamic else None,
+                         times=d.times)
+        for t in range(T) if dynamic else [None]:
+            draws = _risk_draws(s, d, t)
+            assert list(draws) == ["r_cg_tilde", "r_cg"]
+            assert np.array_equal(draws["r_cg_tilde"], risk_cg_tilde(s, d, t))
+            assert np.array_equal(draws["r_cg"], risk_cg_true(s, d, t))
 
 
 class TestSummarize:

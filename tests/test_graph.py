@@ -16,6 +16,7 @@ from arealrisk.graph import (
 )
 from arealrisk.model import Dataset, ModelSpec
 from arealrisk.sampler import _FitContext
+from arealrisk.simstudy import lattice_graph
 
 
 def path_graph():
@@ -378,3 +379,41 @@ class TestOwnCsrAgainstScipy:
             assert np.array_equal(graph.neighbors(i), W.indices[W.indptr[i]:W.indptr[i + 1]])
         n_comp, _ = sp.csgraph.connected_components(W, directed=False)
         assert graph.n_components == n_comp
+
+
+def reference_coloring(graph):
+    """The greedy colouring as first written, over NumPy scalars.
+
+    The classes fix the order of the sampler's random draws, so the graph's
+    own colouring must give exactly these.
+    """
+    order = np.argsort(-graph.degrees, kind="stable")
+    color = np.full(graph.n_regions, -1, dtype=np.int64)
+    for i in order:
+        used = {color[j] for j in graph.neighbors(i) if color[j] >= 0}
+        c = 0
+        while c in used:
+            c += 1
+        color[i] = c
+    return [np.nonzero(color == c)[0] for c in range(color.max() + 1)]
+
+
+class TestColoringMatchesReference:
+    def assert_same(self, graph):
+        got, want = graph.coloring(), reference_coloring(graph)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=hub_graphs())
+    def test_hub_graphs(self, graph):
+        self.assert_same(graph)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), n=hst.integers(2, 60))
+    def test_random_graphs(self, seed, n):
+        self.assert_same(random_graph(np.random.default_rng(seed), n))
+
+    def test_100x100_lattice(self):
+        self.assert_same(lattice_graph(100))

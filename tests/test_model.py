@@ -2,24 +2,23 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit, gammaln
+from scipy.special import gammaln, log_expit
 from scipy.stats import poisson
 
 from arealrisk.estimators import _slice_eta
 from arealrisk.model import (
-    PROB_EPS,
+    _ETA_MAX,
     Dataset,
     ModelSpec,
     _eta,
-    _expit,
     _log_factorial_sum,
+    _log_link,
     _poisson_terms,
     apply_link,
     internal_standardization,
@@ -144,37 +143,69 @@ class TestLinks:
         interior = (p > 1e-9) & (p < 1.0 - 1e-9)
         assert np.all(np.diff(p[interior]) > 0)
 
-    @pytest.mark.parametrize("link,c0", [("logit", None), ("cloglog", None),
-                                         ("skewed_logit", 0.004)])
-    def test_limits_saturate_without_hitting_bounds(self, link, c0):
-        lo = apply_link(link, -1e4, c0)
-        hi = apply_link(link, 1e4, c0)
-        assert 0.0 < lo < 1e-9
-        assert 1.0 - 1e-9 < hi < 1.0
-
     def test_skewed_requires_c0(self):
         with pytest.raises(ValueError):
             apply_link("skewed_logit", 0.0)
 
-    @pytest.mark.parametrize("link,c0", [("logit", None), ("skewed_logit", 0.004)])
-    def test_numpy_logistic_matches_scipy_expit(self, link, c0):
-        # NumPy's exp may differ from libm's in the last bit. Every probability
-        # the clamp lets through is within 2 ulp of SciPy's; where it binds
-        # (below p ~ 1e-16 the sum 1 + e^-eta can round a tie, 3 ulp off), the
-        # clamped probabilities are equal
-        grid = np.linspace(-40.0, 40.0, 8001)
-        eta = np.concatenate([grid, [-1e4, 1e4]])
-        shift = 0.0 if c0 is None else np.log(c0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ours = _expit(eta + shift)
-            p = apply_link(link, eta, c0)
-        ref = expit(eta + shift)
-        clamped = (ref < PROB_EPS) | (ref > 1.0 - PROB_EPS)
-        assert clamped[-2:].all() and not clamped.all()
-        ulps = np.abs(ours.view(np.int64) - ref.view(np.int64))
-        assert ulps[~clamped].max() <= 2
-        assert np.array_equal(p, np.where(clamped, ref.clip(PROB_EPS, 1.0 - PROB_EPS), ours))
+
+CG_LINKS = [("logit", None), ("cloglog", None), ("skewed_logit", 0.004)]
+
+
+def reference_g(link, eta, c0):
+    """log p from SciPy's log_expit, or the plain cloglog form (|eta| <= 700)."""
+    if link == "cloglog":
+        return np.log(-np.expm1(-np.exp(eta)))
+    return log_expit(eta + (0.0 if c0 is None else np.log(c0)))
+
+
+class TestLogSpaceKernel:
+    """One Poisson kernel, y*l - exp(l) at l = offset + g(eta), with no clamp."""
+
+    grid = np.linspace(-800.0, 800.0, 16001)
+
+    @pytest.mark.parametrize("link,c0", CG_LINKS)
+    def test_g_matches_reference(self, link, c0):
+        eta = self.grid
+        if link == "cloglog":  # where e^eta is a normal float and the bound is off
+            eta = eta[np.abs(eta) <= _ETA_MAX]
+        g, ref = _log_link(link, eta, c0), reference_g(link, eta, c0)
+        assert np.abs(g - ref).max() <= 2.0**-52
+        inside = np.abs(eta) <= _ETA_MAX  # past it the logit's e^-|eta| is bounded
+        ulps = np.abs(g.view(np.int64) - ref.view(np.int64))
+        assert ulps[inside].max() <= 4
+
+    @pytest.mark.parametrize("link,c0", CG_LINKS + [(None, None)])
+    def test_g_finite_and_nondecreasing(self, link, c0):
+        with np.errstate(all="raise"):
+            g = _log_link(link, self.grid, c0)
+        assert np.isfinite(g).all()
+        assert (np.diff(g) >= 0).all()
+        assert (g <= 0).all() or link is None
+
+    @pytest.mark.parametrize("link,c0", CG_LINKS + [(None, None)])
+    def test_terms_match_poisson_pmf(self, link, c0):
+        # with no clamp the terms follow the data where p < 1e-12 and, for
+        # cloglog, where 1 - p < 1e-12 (eta > 3.3)
+        rng = np.random.default_rng(11)
+        eta = np.linspace(-700.0, 700.0, 14001)
+        y = rng.integers(0, 30, size=eta.size)
+        if link is None:
+            offset = np.log(rng.uniform(0.5, 30.0, size=eta.size))  # log E
+        else:
+            offset = np.log(rng.uniform(20.0, 2e5, size=eta.size))  # log n
+        spec = ModelSpec("is") if link is None else ModelSpec("cg", link=link, c0=c0)
+        log_mu = offset + (eta if link is None else reference_g(link, eta, c0))
+        keep = log_mu <= _ETA_MAX
+        terms = _poisson_terms(y, offset, eta, spec)[keep]
+        oracle = poisson.logpmf(y, np.exp(log_mu))[keep] + gammaln(y[keep] + 1.0)
+        assert terms == pytest.approx(oracle, rel=1e-12, abs=0)
+
+    def test_exp_sees_log_mean_capped(self):
+        # past exp()'s overflow near 709.8 an IS term stays finite
+        y, eta = np.array([3, 0, 5]), np.array([650.0, 750.0, 1e4])
+        with np.errstate(over="raise"):
+            terms = _poisson_terms(y, np.zeros(3), eta, ModelSpec("is"))
+        assert np.array_equal(terms, y * eta - np.exp(np.minimum(eta, _ETA_MAX)))
 
 
 class TestModelSpec:
@@ -262,7 +293,7 @@ class TestLikelihoods:
         E = internal_standardization(d)
         beta, phi = np.array([705.0]), np.array([2.0, 0.0, -1.0])
         got = log_likelihood_is(d, E, beta, phi)
-        terms = _poisson_terms(d.y, d.n, _eta(d.x @ beta, phi), ModelSpec("is"), E)
+        terms = _poisson_terms(d.y, np.log(E), _eta(d.x @ beta, phi), ModelSpec("is"))
         assert np.isfinite(got)
         assert got == np.sum(terms - gammaln(d.y + 1.0))
 

@@ -541,11 +541,12 @@ class TestLikelihoodCache:
             spec = dataclasses.replace(spec, temporal="dynamic_ar1")
         runner = _ChainRunner(data, graph, spec, quick_config(seed=seed % 997))
         ctx, st = runner.ctx, runner.state
+        offset = np.log(internal_standardization(data) if spec.family == "is"
+                        else data.n)
         for _ in range(6):
             runner.sweep()
             xb = ctx.x @ st.beta
-            fresh = _poisson_terms(ctx.y, ctx.n, _eta(xb, st.phi, st.alpha), spec,
-                                   ctx.E)
+            fresh = _poisson_terms(data.y, offset, _eta(xb, st.phi, st.alpha), spec)
             assert np.array_equal(runner.xb, xb)
             assert np.array_equal(runner.terms, fresh)
 

@@ -286,6 +286,12 @@ class TestSyntheticInputs:
         tenth = synthetic_populations(50, 42, scale=0.1)
         assert tenth == pytest.approx(np.round(full * 0.1), abs=1.0)
 
+    @pytest.mark.parametrize("low,high", [(0.0, 2e5), (-5.0, 2e5), (3e5, 2e5),
+                                          (np.nan, 2e5), (2e4, np.inf)])
+    def test_population_bounds_checked(self, low, high):
+        with pytest.raises(ValueError, match="0 < low <= high < inf"):
+            synthetic_populations(50, 42, low=low, high=high)
+
     def test_lattice_shape(self):
         g = lattice_graph(5)
         assert g.n_regions == 25
