@@ -183,18 +183,17 @@ def _truth_recipe(baseline, hub_bumps, neighbor_bump, hubs) -> TruthRecipe:
                        neighbor_bump=neighbor_bump, hubs=hub_ids or None)
 
 
-def _graph_and_populations(args, seed):
-    if args.adjacency:
-        graph = load_adjacency(args.adjacency)
-        if not args.populations:
-            raise CommandError("--populations is required with --adjacency")
-        pops = _load_populations(args.populations, graph)
-    else:
-        graph = lattice_graph(args.lattice)
-        pops = synthetic_populations(graph.n_regions, seed,
-                                     scale=args.population_scale)
-        return graph, pops
-    return graph, np.round(pops * args.population_scale)
+def _graph_and_populations(adjacency, lattice, path, scale, seed, bounds):
+    """The graph (``adjacency``, else a ``lattice()``) and populations (``path``
+    scaled and rounded, else synthetic in ``bounds()``) to simulate on."""
+    if not 0.0 < scale < np.inf:
+        raise CommandError("--population-scale (or [populations] scale) must be "
+                           f"positive and finite, got {scale}")
+    graph = load_adjacency(adjacency) if adjacency else lattice_graph(lattice())
+    if path:
+        return graph, np.round(_load_populations(path, graph) * scale)
+    return graph, synthetic_populations(graph.n_regions, seed, scale=scale,
+                                        **bounds())
 
 
 def _load_populations(path, graph) -> np.ndarray:
@@ -231,7 +230,11 @@ def _write_adjacency_csv(graph, path) -> None:
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
-    graph, pops = _graph_and_populations(args, seed)
+    if args.adjacency and not args.populations:
+        raise CommandError("--populations is required with --adjacency")
+    graph, pops = _graph_and_populations(args.adjacency, lambda: args.lattice,
+                                         args.populations, args.population_scale,
+                                         seed, lambda: {})
     recipe = _truth_recipe(args.baseline, _floats(args.hub_bumps),
                            args.neighbor_bump, args.hubs)
     truth = build_truth(graph, pops, recipe)
@@ -280,18 +283,17 @@ _STUDY_FLAGS = [("replicates", "study", "replicates"), ("jobs", "run", "jobs"),
                 ("burn_in", "sampler", "burn_in")]
 
 
-def _load_study_config(path) -> configparser.ConfigParser:
+def _study_settings(args) -> dict:
+    """The study INI over ``STUDY_DEFAULTS``, and the flags over both."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     cp.read_dict(STUDY_DEFAULTS)
-    if path:
-        read = cp.read(path)
+    if args.config:
+        try:
+            read = cp.read(args.config)
+        except configparser.Error as exc:
+            raise CommandError(f"{args.config}: {exc}") from None
         if not read:
-            raise CommandError(f"study config not found: {path}")
-    return cp
-
-
-def _study_settings(args) -> dict:
-    cp = _load_study_config(args.config)
+            raise CommandError(f"study config not found: {args.config}")
     cfg = {s: dict(cp[s]) for s in cp.sections()}
     # flag overrides
     cfg["run"]["seed"] = str(_resolve_seed(args, default=cfg["run"]["seed"]))
@@ -324,6 +326,8 @@ def cmd_study(args) -> int:
     # the report echoes cfg; jobs leaves it so that the report is the same
     # whatever the number of worker processes
     jobs = setting("run", "jobs", int)
+    if jobs < 1:
+        raise CommandError(f"[run] jobs (or --jobs) must be at least 1, got {jobs}")
     del cfg["run"]["jobs"]
     level = setting("study", "level")
     _check_level(level)
@@ -336,6 +340,10 @@ def cmd_study(args) -> int:
         target_acceptance=setting("sampler", "target_acceptance", _pair),
     )
     _check_draws(sampler_config)
+    B = setting("study", "replicates", int)
+    if B < 2:
+        raise CommandError("[study] replicates (or --replicates) must be at least "
+                           f"2, got {B}")
     links = [s.strip() for s in cfg["study"]["links"].split(",") if s.strip()]
     if not links:
         raise CommandError("no link to fit: [study] links (or --link) is "
@@ -350,33 +358,24 @@ def cmd_study(args) -> int:
                                "[study] c0 is missing")
         c0 = setting("study", "c0")
 
-    if cfg["graph"]["adjacency"]:
-        graph = load_adjacency(cfg["graph"]["adjacency"])
-    else:
-        graph = lattice_graph(setting("graph", "lattice", int))
     scale = setting("populations", "scale")
-    if cfg["populations"]["path"]:
-        pops = np.round(_load_populations(cfg["populations"]["path"], graph) * scale)
-    else:
-        pops = synthetic_populations(graph.n_regions, seed,
-                                     low=setting("populations", "low"),
-                                     high=setting("populations", "high"),
-                                     scale=scale)
+    graph, pops = _graph_and_populations(
+        cfg["graph"]["adjacency"], lambda: setting("graph", "lattice", int),
+        cfg["populations"]["path"], scale, seed,
+        lambda: {key: setting("populations", key) for key in ("low", "high")})
 
     recipe = _truth_recipe(setting("truth", "baseline"),
                            setting("truth", "hub_bumps", _floats),
                            setting("truth", "neighbor_bump"), cfg["truth"]["hubs"])
     truth = build_truth(graph, pops, recipe)
-    B = setting("study", "replicates", int)
-    cells = {}
-    for link in links:
-        specs = [ModelSpec("cg", link=link,
-                           c0=c0 if link == "skewed_logit" else None),
-                 ModelSpec("is")]
-        result = run_study(graph, truth, B, specs, sampler_config,
-                           master_seed=derive_seed(seed, "study", link),
-                           jobs=jobs, level=level)
-        cells[link] = result
+    cells = {link: run_study(graph, truth, B,
+                             [ModelSpec("cg", link=link,
+                                        c0=c0 if link == "skewed_logit" else None),
+                              ModelSpec("is")],
+                             sampler_config,
+                             master_seed=derive_seed(seed, "study", link),
+                             jobs=jobs, level=level)
+             for link in links}
 
     out = _out_dir(args)
     report = {
@@ -483,12 +482,19 @@ def cmd_forecast(args) -> int:
 
 def _read_summary(path):
     header, lines = _read_csv(path)
+    missing = [c for c in ("region", "estimator", "length") if c not in header]
+    if missing:
+        raise CommandError(f"{path}: summary header lacks {', '.join(missing)}")
     rows = {}
     for line, cells in lines:
         if len(cells) != len(header):
             raise CommandError(f"{path}, line {line}: row has {len(cells)} "
                                f"fields, expected {len(header)}")
         row = dict(zip(header, cells))
+        try:
+            row["length"] = float(row["length"])
+        except ValueError as exc:
+            raise CommandError(f"{path}, line {line}: {exc}") from None
         rows[(row["region"], row.get("time", ""), row["estimator"])] = row
     if not rows:
         raise CommandError(f"{path}: empty summary file")
@@ -509,8 +515,8 @@ def cmd_compare(args) -> int:
     common = sorted(set(lsel) & set(rsel))
     if not common:
         raise CommandError("no common (region, time) rows to compare")
-    l_len = np.array([float(lsel[k]["length"]) for k in common])
-    r_len = np.array([float(rsel[k]["length"]) for k in common])
+    l_len = np.array([lsel[k]["length"] for k in common])
+    r_len = np.array([rsel[k]["length"] for k in common])
     shorter = l_len < r_len
     report = {
         "left": {"path": args.left, "estimator": args.left_estimator,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -189,29 +190,52 @@ def _fit_and_summarize(dataset, graph, spec, config, truth, level):
     return out, acc_range
 
 
-def _replicate_task(args):
-    (b, master_seed, graph, truth, specs, config, level, fit_fn) = args
+@dataclass(frozen=True)
+class _Replicate:
+    """One replicate as its worker leaves it: scored, or why it was excluded."""
+
+    index: int
+    failure: str | None = None
+    rows: dict = field(default_factory=dict)  # tag -> its one-row ReplicationBatch
+    acceptance: dict = field(default_factory=dict)  # "family:block" -> (min, max)
+
+
+def _stack(rows) -> ReplicationBatch:
+    """One estimator's rows, in replicate order, as one batch."""
+    def column(name):
+        parts = [getattr(row, name) for row in rows]
+        return None if parts[0] is None else np.concatenate(parts)
+    return ReplicationBatch(rows[0].estimator, *map(column, (
+        "replicate_seeds", "loss_ratio", "loss_bias", "coverage", "lengths")))
+
+
+def _replicate_task(b, master_seed, graph, truth, specs, config, level,
+                    fit_fn) -> _Replicate:
     data_seed = derive_seed(master_seed, "replicate", b)
     dataset = simulate_counts(truth, seed=data_seed)
     if np.any(dataset.y == 0):
-        return b, None, "zero count in some region; raw log-risk undefined"
-    raw = observed_raw_risks(dataset)
+        return _Replicate(b, "zero count in some region; raw log-risk undefined")
 
-    results = {}
-    acc_ranges = {}
+    estimates = {}
+    acceptance = {}
     for spec in specs:
         fit_seed = derive_seed(master_seed, "fit", b, spec.family, spec.link)
         cfg = replace(config, seed=fit_seed)
         try:
             fit_out, acc = fit_fn(dataset, graph, spec, cfg, truth, level)
         except Exception as exc:  # recorded, never silently dropped
-            return b, None, f"{spec.family} fit failed: {exc}"
-        results.update(fit_out)
-        for name, rng_ in acc.items():
-            key = f"{spec.family}:{name}"
-            acc_ranges[key] = rng_
-    results[MLE_TAG] = (raw, None, None)
-    return b, (data_seed, results, acc_ranges), None
+            return _Replicate(b, f"{spec.family} fit failed: {exc}")
+        estimates.update(fit_out)
+        acceptance.update({f"{spec.family}:{name}": r for name, r in acc.items()})
+    estimates[MLE_TAG] = (observed_raw_risks(dataset), None, None)
+    r = truth.r_true
+    rows = {tag: ReplicationBatch(  # this replicate's row of each batch
+        tag, np.array([data_seed], dtype=np.uint64),
+        np.array([loss_ratio(point, r)]), np.array([loss_bias(point, r)]),
+        None if lo is None else np.array([(lo <= r) & (r <= hi)], np.int8),
+        None if lo is None else np.array([hi - lo]))
+        for tag, (point, lo, hi) in estimates.items()}
+    return _Replicate(b, rows=rows, acceptance=acceptance)
 
 
 def run_study(graph: AdjacencyGraph, truth: TruthMap, B: int, specs,
@@ -227,53 +251,28 @@ def run_study(graph: AdjacencyGraph, truth: TruthMap, B: int, specs,
     if B < 2:
         raise ValueError("a study needs at least two replicates")
     specs = list(specs)
-    tasks = [
-        (b, master_seed, graph, truth, specs, config, level, fit_fn)
-        for b in range(B)
-    ]
+    task = partial(_replicate_task, master_seed=master_seed, graph=graph,
+                   truth=truth, specs=specs, config=config, level=level,
+                   fit_fn=fit_fn)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw_results = list(pool.map(_replicate_task, tasks, chunksize=1))
+            replicates = list(pool.map(task, range(B), chunksize=1))
     else:
-        raw_results = [_replicate_task(t) for t in tasks]
-    raw_results.sort(key=lambda r: r[0])
+        replicates = list(map(task, range(B)))
 
-    failures = [(b, msg) for b, payload, msg in raw_results if payload is None]
-    kept = [(b, payload) for b, payload, msg in raw_results if payload is not None]
+    failures = [(r.index, r.failure) for r in replicates if r.failure is not None]
+    kept = [r for r in replicates if r.failure is None]
     if not kept:
         raise RuntimeError(f"every replicate failed; first: {failures[0]}")
     for b, msg in failures:
         logger.warning("replicate %d excluded: %s", b, msg)
 
-    I = graph.n_regions
-    tags = list(kept[0][1][1].keys())
-    seeds = np.array([payload[0] for _, payload in kept], dtype=np.uint64)
-    nB = len(kept)
-
-    batches = {}
-    for tag in tags:
-        has_interval = kept[0][1][1][tag][1] is not None
-        lr = np.empty(nB)
-        lb = np.empty(nB)
-        cov = np.zeros((nB, I), dtype=np.int8) if has_interval else None
-        lens = np.empty((nB, I)) if has_interval else None
-        for row, (_, payload) in enumerate(kept):
-            point, lo, hi = payload[1][tag]
-            lr[row] = loss_ratio(point, truth.r_true)
-            lb[row] = loss_bias(point, truth.r_true)
-            if has_interval:
-                cov[row] = (lo <= truth.r_true) & (truth.r_true <= hi)
-                lens[row] = hi - lo
-        batches[tag] = ReplicationBatch(tag, seeds.copy(), lr, lb, cov, lens)
-
+    batches = {tag: _stack([r.rows[tag] for r in kept]) for tag in kept[0].rows}
     acc_range: dict = {}
-    for _, payload in kept:
-        for key, (lo_a, hi_a) in payload[2].items():
-            if key in acc_range:
-                acc_range[key] = (min(acc_range[key][0], lo_a),
-                                  max(acc_range[key][1], hi_a))
-            else:
-                acc_range[key] = (lo_a, hi_a)
+    for r in kept:
+        for key, (lo, hi) in r.acceptance.items():
+            old_lo, old_hi = acc_range.get(key, (lo, hi))
+            acc_range[key] = (min(old_lo, lo), max(old_hi, hi))
 
     return StudyResult(
         truth=truth,
@@ -283,7 +282,7 @@ def run_study(graph: AdjacencyGraph, truth: TruthMap, B: int, specs,
         acceptance_range=acc_range,
         design={
             "B_requested": B,
-            "B_effective": nB,
+            "B_effective": len(kept),
             "master_seed": master_seed,
             "specs": [
                 {"family": s.family, "link": s.link, "temporal": s.temporal}

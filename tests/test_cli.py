@@ -628,6 +628,116 @@ class TestStudyConfigErrors:
                              f"{cfg}: [sampler] adapt_window: invalid literal for "
                              "int() with base 10: 'abc'")
 
+    def test_duplicate_section(self, tmp_path, capsys, no_sampling):
+        cfg, rc = self.run_ini(tmp_path, "[graph]\nlattice = 4\n")
+        self.assert_rejected(rc, capsys, "CommandError",
+                             f"{cfg}: While reading from {str(cfg)!r} [line  3]: "
+                             "section 'graph' already exists")
+
+    def test_key_before_any_section(self, tmp_path, capsys, no_sampling):
+        cfg = tmp_path / "study.ini"
+        cfg.write_text("lattice = 3\n[graph]\n")
+        rc = run_cli("study", "--config", cfg, "--out", tmp_path / "out")
+        self.assert_rejected(rc, capsys, "CommandError",
+                             f"{cfg}: File contains no section headers.\n"
+                             f"file: {str(cfg)!r}, line: 1\n'lattice = 3\\n'")
+
+    @pytest.mark.parametrize("argv, ini, value", [
+        (["--jobs", "-3"], "", -3),
+        ([], "[run]\njobs = 0\n", 0),
+    ], ids=["flag", "ini"])
+    def test_jobs_below_one(self, tmp_path, capsys, no_sampling, argv, ini, value):
+        # rejected before the (missing) adjacency file is read
+        cfg = tmp_path / "study.ini"
+        cfg.write_text(f"[graph]\nadjacency = {tmp_path / 'missing.csv'}\n" + ini)
+        rc = run_cli("study", "--config", cfg, *argv, "--out", tmp_path / "out")
+        self.assert_rejected(rc, capsys, "CommandError",
+                             f"[run] jobs (or --jobs) must be at least 1, got {value}")
+
+    @pytest.mark.parametrize("argv, ini", [
+        (["--replicates", "1"], ""),
+        ([], "[study]\nreplicates = 1\n"),
+    ], ids=["flag", "ini"])
+    def test_one_replicate(self, tmp_path, capsys, no_sampling, argv, ini):
+        cfg = tmp_path / "study.ini"
+        cfg.write_text(f"[graph]\nadjacency = {tmp_path / 'missing.csv'}\n" + ini)
+        rc = run_cli("study", "--config", cfg, *argv, "--out", tmp_path / "out")
+        self.assert_rejected(rc, capsys, "CommandError",
+                             "[study] replicates (or --replicates) must be at least "
+                             "2, got 1")
+
+
+class TestPopulationSources:
+    """simulate and study take the graph and the populations the same way."""
+
+    @pytest.mark.parametrize("value, shown", [("-1", "-1.0"), ("0", "0.0"),
+                                              ("nan", "nan")])
+    @pytest.mark.parametrize("command", ["simulate", "study", "study-ini"])
+    def test_bad_scale(self, tmp_path, capsys, no_sampling, command, value, shown):
+        cfg = tmp_path / "study.ini"
+        cfg.write_text(f"[graph]\nlattice = 3\n[populations]\nscale = {value}\n")
+        argv = {"simulate": ["simulate", "--lattice", 3, "--population-scale", value],
+                "study": ["study", "--population-scale", value],
+                "study-ini": ["study", "--config", cfg]}[command]
+        assert run_cli(*argv, "--out", tmp_path / "out") != 0
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CommandError",
+            "message": "--population-scale (or [populations] scale) must be "
+                       f"positive and finite, got {shown}"}
+
+    def test_lattice_with_populations_file(self, tmp_path):
+        pops = tmp_path / "populations.csv"
+        pops.write_text("region,n\n" + "".join(f"r{i},{1000 * (i + 1)}\n"
+                                                for i in range(9)))
+        rc = run_cli("simulate", "--lattice", 3, "--populations", pops,
+                     "--population-scale", 0.5, "--out", tmp_path / "sim")
+        assert rc == 0
+        rows = (tmp_path / "sim" / "dataset.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == [
+            repr(500.0 * (i + 1)) for i in range(9)]
+
+    def test_malformed_populations_file_with_lattice(self, tmp_path, capsys):
+        pops = tmp_path / "populations.csv"
+        pops.write_text("region,n\nr0,abc\n")
+        rc = run_cli("simulate", "--lattice", 3, "--populations", pops,
+                     "--out", tmp_path / "sim")
+        assert rc != 0
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CommandError",
+            "message": f"{pops}, line 2: could not convert string to float: 'abc'"}
+
+
+class TestCompareInputErrors:
+    """A malformed summary CSV names its file, and its line for a bad row."""
+
+    def compare(self, tmp_path, text):
+        summary = tmp_path / "summary.csv"
+        summary.write_text(text)
+        rc = run_cli("compare", "--left", summary, "--right", summary,
+                     "--out", tmp_path / "cmp")
+        assert rc != 0
+        return summary
+
+    @pytest.mark.parametrize("header, missing", [
+        ("estimator,mean,length", "region"),
+        ("region,mean,length", "estimator"),
+        ("region,estimator,mean", "length"),
+        ("mean", "region, estimator, length"),
+    ])
+    def test_missing_column(self, tmp_path, capsys, header, missing):
+        summary = self.compare(tmp_path, header + "\n")
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CommandError",
+            "message": f"{summary}: summary header lacks {missing}"}
+
+    def test_length_not_a_number(self, tmp_path, capsys):
+        summary = self.compare(tmp_path, "region,estimator,length\n"
+                                         "r0,r_cg,0.5\nr1,r_cg,abc\n")
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CommandError",
+            "message": f"{summary}, line 3: could not convert string to float: "
+                       "'abc'"}
+
 
 # runs the CLI, then reports on stderr every scipy module the process loaded
 _SCIPY_GUARD = """

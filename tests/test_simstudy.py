@@ -296,3 +296,88 @@ class TestSyntheticInputs:
         g = lattice_graph(5)
         assert g.n_regions == 25
         assert g.n_edges == 2 * 5 * 4
+
+
+# stubs for the failure path; they read the replicate only through the fit seed
+FAIL_MASTER = 31
+
+
+def _fit_seed(b, spec):
+    from arealrisk.seeding import derive_seed
+
+    return derive_seed(FAIL_MASTER, "fit", b, spec.family, spec.link)
+
+
+def failing_on_one_stub_fit(dataset, graph, spec, config, truth, level):
+    """Truth stub whose CG fit raises on replicate 1 of master seed FAIL_MASTER."""
+    if spec.family == "cg" and config.seed == _fit_seed(1, spec):
+        raise FloatingPointError("boom")
+    out, _ = truth_stub_fit(dataset, graph, spec, config, truth, level)
+    return out, acceptance_stub(config.seed)
+
+
+def always_failing_stub_fit(dataset, graph, spec, config, truth, level):
+    raise FloatingPointError("boom")
+
+
+def acceptance_stub(seed):
+    """Acceptance ranges that differ from fit seed to fit seed."""
+    lo = np.random.default_rng(seed).uniform(0.1, 0.2, size=2)
+    return {"phi": (float(lo[0]), float(lo[0] + 0.2)),
+            "beta": (float(lo[1]), float(lo[1] + 0.1))}
+
+
+class TestRunStudyFailures:
+    """Failed replicates are recorded and dropped from every estimator."""
+
+    def test_failed_fit_excluded_from_every_batch(self, grid, pops):
+        from arealrisk.seeding import derive_seed
+
+        truth = build_truth(grid, pops)
+        res = run_study(grid, truth, B=3, specs=STUDY_SPECS, config=tiny_config(),
+                        master_seed=FAIL_MASTER, fit_fn=failing_on_one_stub_fit)
+        assert res.failures == [(1, "cg fit failed: boom")]
+        assert res.design["B_effective"] == 2
+        kept = [derive_seed(FAIL_MASTER, "replicate", b) for b in (0, 2)]
+        assert set(res.batches) == {"r_is", "r_cg_tilde", "r_cg", "mle"}
+        for batch in res.batches.values():
+            assert batch.replicate_seeds.tolist() == kept
+            assert batch.loss_ratio.shape == batch.loss_bias.shape == (2,)
+            if batch.coverage is not None:
+                assert batch.coverage.shape == batch.lengths.shape == (2, 16)
+
+    def test_zero_count_replicate_excluded(self, grid):
+        from arealrisk.seeding import derive_seed
+
+        truth = build_truth(grid, np.full(grid.n_regions, 3500.0))
+        zero = [b for b in range(4) if np.any(simulate_counts(
+            truth, seed=derive_seed(0, "replicate", b)).y == 0)]
+        assert 0 < len(zero) < 4  # the populations give a mix at this seed
+        res = run_study(grid, truth, B=4, specs=STUDY_SPECS, config=tiny_config(),
+                        master_seed=0, fit_fn=truth_stub_fit)
+        reason = "zero count in some region; raw log-risk undefined"
+        assert res.failures == [(b, reason) for b in zero]
+        assert res.design["B_effective"] == 4 - len(zero)
+        assert res.batches["mle"].loss_ratio.shape == (4 - len(zero),)
+
+    def test_every_replicate_failing_raises(self, grid, pops):
+        truth = build_truth(grid, pops)
+        with pytest.raises(RuntimeError, match="every replicate failed; first: "
+                           r"\(0, 'cg fit failed: boom'\)"):
+            run_study(grid, truth, B=2, specs=STUDY_SPECS, config=tiny_config(),
+                      master_seed=FAIL_MASTER, fit_fn=always_failing_stub_fit)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_acceptance_range_over_kept_replicates(self, grid, pops, jobs):
+        truth = build_truth(grid, pops)
+        res = run_study(grid, truth, B=4, specs=STUDY_SPECS, config=tiny_config(),
+                        master_seed=FAIL_MASTER, jobs=jobs,
+                        fit_fn=failing_on_one_stub_fit)
+        assert [b for b, _ in res.failures] == [1]
+        expected = {}
+        for spec in STUDY_SPECS:
+            ranges = [acceptance_stub(_fit_seed(b, spec)) for b in (0, 2, 3)]
+            for name in ("phi", "beta"):
+                expected[f"{spec.family}:{name}"] = (
+                    min(r[name][0] for r in ranges), max(r[name][1] for r in ranges))
+        assert res.acceptance_range == expected
