@@ -495,6 +495,9 @@ def _read_summary(path):
             row["length"] = float(row["length"])
         except ValueError as exc:
             raise CommandError(f"{path}, line {line}: {exc}") from None
+        if not np.isfinite(row["length"]):
+            raise CommandError(f"{path}, line {line}: length must be finite, "
+                               f"got {row['length']}")
         rows[(row["region"], row.get("time", ""), row["estimator"])] = row
     if not rows:
         raise CommandError(f"{path}: empty summary file")

@@ -14,11 +14,11 @@ linear interpolation between order statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .model import (Dataset, _eta, _fmt, _write_json, apply_link,
-                    internal_standardization)
+from .model import Dataset, _eta, apply_link, internal_standardization
 from .sampler import PosteriorSamples
 
 __all__ = [
@@ -172,10 +172,6 @@ def _field_names(level: float) -> list:
     return ["mean", "median", f"lo{pct}", f"hi{pct}", "length", "exceedance"]
 
 
-def _field_columns(s: RiskSummary) -> list:
-    return [getattr(s, attr).tolist() for attr in _FIELDS]
-
-
 def write_summary_csv(summaries, path) -> None:
     """Write risk summaries as CSV.
 
@@ -197,8 +193,37 @@ def write_summary_csv(summaries, path) -> None:
             lead = [s.estimator]
             if with_time:
                 lead.insert(0, "" if s.time is None else str(s.time))
-            for region, *values in zip(s.region_ids, *_field_columns(s)):
-                fh.write(",".join([region, *lead, *map(_fmt, values)]) + "\n")
+            # one template per summary; %r of a float is _fmt
+            row = ("%s," + ",".join(lead).replace("%", "%%")
+                   + ",%r" * len(_FIELDS) + "\n")
+            columns = [getattr(s, attr).tolist() for attr in _FIELDS]
+            fh.writelines([row % values for values in zip(s.region_ids, *columns)])
+
+
+# the texts json gives the floats that repr writes otherwise
+_JSON_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_numbers(values: np.ndarray) -> list:
+    """Each value as ``json.dump`` writes it, from one ``repr`` of the list."""
+    text = repr(values.tolist())[1:-1].split(", ")
+    if np.isfinite(values).all():
+        return text
+    return [_JSON_SPECIALS.get(v, v) for v in text]
+
+
+def _json_object(node: dict, pad: str) -> str:
+    """``node`` as ``json.dump(indent=2, sort_keys=True)`` writes it at ``pad``.
+
+    A str value is JSON text already; a dict value is written the same way.
+    """
+    if not node:
+        return "{}"
+    inner = pad + "  "
+    return ("{\n" + inner + (",\n" + inner).join(
+        [encode_basestring_ascii(key) + ": "
+         + (value if isinstance(value, str) else _json_object(value, inner))
+         for key, value in sorted(node.items())]) + "\n" + pad + "}")
 
 
 def write_geojson_properties(summaries, path) -> None:
@@ -206,17 +231,27 @@ def write_geojson_properties(summaries, path) -> None:
 
     The file maps region id -> estimator (-> time, for panel fits) -> the
     same fields as the summary CSV; render with any external choropleth
-    tool by joining on the region id.
+    tool by joining on the region id. The text is what ``json.dump`` writes
+    with indent 2 and sorted keys, but each summary's columns are formatted
+    once and each region's fields through one template.
     """
     out: dict = {}
     for s in summaries:
         names = _field_names(s.level)
-        for region, *values in zip(s.region_ids, *_field_columns(s)):
-            fields = dict(zip(names, values))
+        order = sorted(range(len(names)), key=names.__getitem__)
+        pad = "      " if s.time is None else "        "
+        fields = ("{\n" + ",\n".join(pad + encode_basestring_ascii(names[i]) + ": %s"
+                                      for i in order) + "\n" + pad[:-2] + "}")
+        columns = [_json_numbers(getattr(s, _FIELDS[i])) for i in order]
+        for region, *values in zip(s.region_ids, *columns):
             slot = out.setdefault(region, {})
             if s.time is None:
-                slot[s.estimator] = fields
-            else:
-                slot.setdefault(s.estimator, {})[str(s.time)] = fields
+                slot[s.estimator] = fields % tuple(values)
+                continue
+            times = slot.setdefault(s.estimator, {})
+            if isinstance(times, str):
+                raise ValueError(f"region {region!r}: estimator {s.estimator!r} "
+                                 "has both a static and a panel summary")
+            times[str(s.time)] = fields % tuple(values)
     with open(path, "w") as fh:
-        _write_json(out, fh)
+        fh.write(_json_object(out, "") + "\n")

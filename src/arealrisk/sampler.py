@@ -18,7 +18,11 @@ freeze afterwards, preserving detailed balance for the retained draws.
 from __future__ import annotations
 
 import logging
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -540,22 +544,84 @@ def run_chain(dataset: Dataset, graph: AdjacencyGraph, spec: ModelSpec,
 
 
 def write_draws_csv(samples: PosteriorSamples, path) -> None:
-    """Dump all retained draws as ``draw,parameter,value`` rows."""
+    """Dump all retained draws as ``draw,parameter,value`` rows.
+
+    The draws are split into contiguous ranges, one per usable CPU. The
+    caller formats the first range straight into ``path``; a forked child
+    formats each other range into an unnamed temporary file in the same
+    directory, and the caller appends those files in order. The bytes are
+    the same whatever the number of CPUs. A failed child raises
+    ``RuntimeError`` once every child has been joined.
+    """
     labels = {"beta": range(samples.beta.shape[1]), "phi": samples.region_ids,
               "alpha": samples.times}
     cols, heads = [], []
     for name in _PARAMS:
-        if getattr(samples, name) is not None:
-            cols.append(getattr(samples, name))
+        draws = getattr(samples, name)
+        if draws is not None:
+            cols.append(draws if draws.ndim == 2 else draws[:, None])
             heads += ([f",{name}[{i}]," for i in labels[name]] if name in labels
                       else [f",{name},"])
-    with open(path, "w", newline="") as fh:
-        fh.write("draw,parameter,value\n")
-        # one write per draw keeps memory flat; repr of a Python float is _fmt
-        for d, row in enumerate(np.column_stack(cols)):
-            draw = str(d)
-            fh.write("".join([draw + head + repr(v) + "\n"
-                              for head, v in zip(heads, row.tolist())]))
+    # a draw's rows are str(draw).join(lead) % values; %r of a float is _fmt
+    lead = ["", *(h.replace("%", "%%") + "%r\n" for h in heads)]
+    n_draws = samples.n_draws
+    n_parts = max(1, min(len(os.sched_getaffinity(0)), n_draws))
+    ranges = [(n_draws * k // n_parts, n_draws * (k + 1) // n_parts)
+              for k in range(n_parts)]
+    parts, pids = [], []
+    try:
+        for lo, hi in ranges[1:]:
+            parts.append(tempfile.TemporaryFile(dir=Path(path).parent))
+            pids.append(_fork_draw_rows(parts[-1], cols, lead, lo, hi))
+        with open(path, "w", newline="") as fh:
+            fh.write("draw,parameter,value\n")
+            _write_draw_rows(fh, cols, lead, *ranges[0])
+            for (lo, hi), code in zip(ranges[1:], _join(pids)):
+                if code:
+                    raise RuntimeError(f"formatting draws {lo}..{hi - 1} failed: "
+                                       f"child exited with status {code}")
+            fh.flush()
+            for part in parts:
+                part.seek(0)
+                shutil.copyfileobj(part, fh.buffer)
+    finally:
+        _join(pids)
+        for part in parts:
+            part.close()
+
+
+def _write_draw_rows(fh, cols, lead, lo, hi) -> None:
+    """Write the rows of draws ``lo`` to ``hi - 1``, one write per draw."""
+    for d in range(lo, hi):
+        row = np.concatenate([c[d] for c in cols]).tolist()
+        fh.write(str(d).join(lead) % tuple(row))
+
+
+def _fork_draw_rows(part, cols, lead, lo, hi) -> int:
+    """Fork a child that writes draws ``lo`` to ``hi - 1`` into ``part``.
+
+    The child sees the draws through fork, not pickling, and leaves by
+    ``os._exit``, so none of the caller's cleanup or exit handlers run there.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        with open(part.fileno(), "w", newline="", closefd=False) as fh:
+            _write_draw_rows(fh, cols, lead, lo, hi)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _join(pids) -> list:
+    """Wait for every child in ``pids``, emptying it; their exit codes in order."""
+    codes = []
+    while pids:
+        codes.append(os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1]))
+        pids.pop(0)
+    return codes
 
 
 def write_metadata_json(samples: PosteriorSamples, path) -> None:

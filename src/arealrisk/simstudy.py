@@ -55,6 +55,12 @@ class TruthRecipe:
     neighbor_bump: float = 0.0005
     hubs: tuple | None = None  # explicit region ids; default: most populated
 
+    def __post_init__(self):
+        for name in ("baseline", "hub_bumps", "neighbor_bump"):
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ValueError(f"truth recipe {name} must be finite, got {value}")
+
 
 @dataclass(frozen=True)
 class TruthMap:
@@ -67,7 +73,7 @@ class TruthMap:
     provenance: dict
 
     def __post_init__(self):
-        if np.any(self.p_true <= 0) or np.any(self.p_true >= 1):
+        if not np.all((self.p_true > 0) & (self.p_true < 1)):
             raise ValueError("true incidences must lie in (0, 1)")
 
 

@@ -85,3 +85,37 @@ def test_cmd_study_passes_graph_first_and_jobs_by_keyword(monkeypatch, tmp_path)
     (args, kwargs), = seen
     assert isinstance(args[0], AdjacencyGraph)
     assert kwargs["jobs"] == 2
+
+
+def test_cmd_fit_calls_its_writers_through_the_module_in_the_caller(
+        monkeypatch, tmp_path):
+    # the traced writer timings (sampler.write_draws_s, estimators.write_summary_s)
+    # come from spans recorded in the launched process: a writer called in a
+    # child process, or not through the name launch.py patches, goes unmeasured
+    import os
+
+    from arealrisk import cli, estimators, sampler
+
+    calls = []
+    for module, name in ((sampler, "write_draws_csv"),
+                         (estimators, "write_summary_csv"),
+                         (estimators, "write_geojson_properties")):
+        original = getattr(module, name)
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, os.getpid()))
+            return _original(*args, **kwargs)
+
+        # as launch.py's _install does: every module bound to the function
+        for mod in (cli, sampler, estimators):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, recording)
+    assert cli.main(["simulate", "--lattice", "3", "--out", str(tmp_path)]) == 0
+    rc = cli.main(["fit", "--data", str(tmp_path / "dataset.csv"),
+                   "--adjacency", str(tmp_path / "adjacency.csv"), "--family", "cg",
+                   "--iterations", "300", "--burn-in", "100", "--thin", "2",
+                   "--adapt-window", "50", "--dump-draws", "--out", str(tmp_path)])
+    assert rc == 0
+    assert sorted(calls) == [("write_draws_csv", os.getpid()),
+                             ("write_geojson_properties", os.getpid()),
+                             ("write_summary_csv", os.getpid())]

@@ -667,6 +667,36 @@ class TestStudyConfigErrors:
                              "2, got 1")
 
 
+class TestTruthRecipeNotFinite:
+    """A NaN or infinite truth-recipe value is rejected by name, before any
+    arithmetic on it (which would warn) and before any count is drawn."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv, name, shown", [
+        (["--baseline", "nan"], "baseline", "nan"),
+        (["--baseline", "inf"], "baseline", "inf"),
+        (["--neighbor-bump", "nan"], "neighbor_bump", "nan"),
+        (["--neighbor-bump=-inf"], "neighbor_bump", "-inf"),
+        (["--hub-bumps", "nan,0.001,0.001"], "hub_bumps", "(nan, 0.001, 0.001)"),
+    ])
+    def test_simulate(self, tmp_path, capsys, argv, name, shown):
+        rc = run_cli("simulate", "--lattice", 3, *argv, "--out", tmp_path)
+        assert rc != 0
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": f"truth recipe {name} must be finite, got {shown}"}
+        assert not (tmp_path / "dataset.csv").exists()
+
+    def test_study_ini(self, tmp_path, capsys, no_sampling):
+        cfg = tmp_path / "study.ini"
+        cfg.write_text("[graph]\nlattice = 3\n[truth]\nhub_bumps = nan,0.001\n")
+        rc = run_cli("study", "--config", cfg, "--out", tmp_path / "out")
+        assert rc != 0
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "truth recipe hub_bumps must be finite, got (nan, 0.001)"}
+
+
 class TestPopulationSources:
     """simulate and study take the graph and the populations the same way."""
 
@@ -737,6 +767,15 @@ class TestCompareInputErrors:
             "error": "CommandError",
             "message": f"{summary}, line 3: could not convert string to float: "
                        "'abc'"}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_length_not_finite(self, tmp_path, capsys, value):
+        summary = self.compare(tmp_path, "region,estimator,length\n"
+                                         f"r0,r_cg,0.5\nr1,r_cg,{value}\n")
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CommandError",
+            "message": f"{summary}, line 3: length must be finite, got {value}"}
+        assert not (tmp_path / "cmp" / "comparison.json").exists()
 
 
 # runs the CLI, then reports on stderr every scipy module the process loaded

@@ -2,8 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from arealrisk.estimators import (
+    _FIELDS,
+    RiskSummary,
+    _field_names,
     _risk_draws,
     incidence_draws,
     risk_cg_tilde,
@@ -300,3 +305,93 @@ class TestWriters:
         assert set(props) == {"A", "B"}
         assert props["A"]["r_cg"]["mean"] == 1.0
         assert "exceedance" in props["B"]["r_cg"]
+
+
+# the writers' loop references: json.dump of the nested dict, and one _fmt per
+# value; the writers format whole columns and must give the same bytes
+
+
+def reference_geojson(summaries) -> str:
+    out: dict = {}
+    for s in summaries:
+        names = _field_names(s.level)
+        columns = [getattr(s, attr).tolist() for attr in _FIELDS]
+        for region, *values in zip(s.region_ids, *columns):
+            fields = dict(zip(names, values))
+            slot = out.setdefault(region, {})
+            if s.time is None:
+                slot[s.estimator] = fields
+            else:
+                slot.setdefault(s.estimator, {})[str(s.time)] = fields
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+
+def reference_summary_csv(summaries) -> str:
+    with_time = any(s.time is not None for s in summaries)
+    head = (["region"] + (["time"] if with_time else [])
+            + ["estimator", *_field_names(summaries[0].level)])
+    lines = [",".join(head)]
+    for s in summaries:
+        lead = ([] if not with_time else ["" if s.time is None else str(s.time)])
+        for i, region in enumerate(s.region_ids):
+            values = [repr(float(getattr(s, attr)[i])) for attr in _FIELDS]
+            lines.append(",".join([region, *lead, s.estimator, *values]))
+    return "\n".join(lines) + "\n"
+
+
+ODD_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e16, 1e-05, 0.1, 2.5e-300]
+floats = hst.one_of(hst.sampled_from(ODD_FLOATS),
+                    hst.floats(allow_nan=True, allow_infinity=True))
+region_ids = hst.lists(
+    hst.one_of(hst.sampled_from(['r"0', "ré", "r\\1", "r%s", "区"]),
+               hst.text(hst.characters(blacklist_categories=("Cs",)),
+                        min_size=1, max_size=4)),
+    min_size=1, max_size=4, unique=True)
+
+
+@hst.composite
+def summary_sets(draw):
+    """Static summaries of several estimators, or a panel's over several times."""
+    ids = draw(region_ids)
+    level = draw(hst.sampled_from([0.9, 0.8, 0.975]))
+    panel = draw(hst.booleans())
+    keys = ([("r_cg", t) for t in draw(hst.lists(hst.integers(1990, 2030),
+                                                 min_size=1, max_size=3, unique=True))]
+            if panel else [(tag, None) for tag in draw(hst.lists(
+                hst.sampled_from(["r_cg", "r_cg_tilde", "r_is", "r é", "r%s"]),
+                min_size=1, max_size=3, unique=True))])
+    column = hst.lists(floats, min_size=len(ids), max_size=len(ids)).map(np.array)
+    return [RiskSummary(estimator=tag, region_ids=tuple(ids), mean=draw(column),
+                        median=draw(column), lower=draw(column), upper=draw(column),
+                        level=level, exceedance=draw(column), time=time)
+            for tag, time in keys]
+
+
+class TestWritersMatchTheirReference:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf lengths
+    @settings(max_examples=200, deadline=None)
+    @given(summaries=summary_sets())
+    def test_geojson_is_json_dump(self, tmp_path_factory, summaries):
+        path = tmp_path_factory.mktemp("geo") / "props.json"
+        write_geojson_properties(summaries, path)
+        assert path.read_bytes() == reference_geojson(summaries).encode()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(summaries=summary_sets())
+    def test_summary_csv_is_fmt_per_value(self, tmp_path_factory, summaries):
+        path = tmp_path_factory.mktemp("csv") / "summary.csv"
+        write_summary_csv(summaries, path)
+        assert path.read_bytes() == reference_summary_csv(summaries).encode()
+
+    def test_empty_geojson(self, tmp_path):
+        write_geojson_properties([], tmp_path / "props.json")
+        assert (tmp_path / "props.json").read_text() == reference_geojson([])
+
+    def test_static_and_panel_summary_of_one_estimator_rejected(self, tmp_path):
+        mat = np.tile([1.0, 2.0], (150, 1))
+        summaries = [summarize(mat, ["A", "B"], "r_cg"),
+                     summarize(mat, ["A", "B"], "r_cg", time=1990)]
+        with pytest.raises(ValueError, match="region 'A': estimator 'r_cg' has "
+                                             "both a static and a panel summary"):
+            write_geojson_properties(summaries, tmp_path / "props.json")

@@ -707,3 +707,133 @@ class TestCalibration:
             lo, hi = np.quantile(s.beta[:, 0], [0.05, 0.95])
             covered += int(lo <= beta_true <= hi)
         assert covered >= 0.8 * reps
+
+
+# ---------------------------------------------------------------------------
+# draws.csv: one range of draws per usable CPU, the same bytes for any count
+
+
+def hand_samples(n_draws, region_ids, times=None, seed=0):
+    rng = np.random.default_rng(seed)
+    D, dynamic = n_draws, times is not None
+    phi = rng.normal(size=(D, len(region_ids)))
+    if D:
+        phi[0, 0], phi[-1, -1] = -0.0, 1e16
+    return sampler.PosteriorSamples(
+        spec=ModelSpec("is", temporal="dynamic_ar1" if dynamic else "static"),
+        config=SamplerConfig(n_iterations=D + 2, burn_in=1, thin=1),
+        region_ids=tuple(region_ids), times=times,
+        beta=rng.normal(size=(D, 2)), phi=phi, tau=rng.gamma(2.0, size=D),
+        alpha=rng.normal(size=(D, len(times))) if dynamic else None,
+        rho=rng.uniform(-1, 1, size=D) if dynamic else None,
+        omega=rng.gamma(2.0, size=D) if dynamic else None,
+        acceptance={}, proposal_scales={}, n_nonfinite_events=0)
+
+
+def reference_draws_csv(samples) -> str:
+    """The serial loop: every draw's parameters stacked, one _fmt per value."""
+    labels = {"beta": range(samples.beta.shape[1]), "phi": samples.region_ids,
+              "alpha": samples.times}
+    cols, heads = [], []
+    for name in sampler._PARAMS:
+        if getattr(samples, name) is not None:
+            cols.append(getattr(samples, name))
+            heads += ([f"{name}[{i}]" for i in labels[name]] if name in labels
+                      else [name])
+    rows = ["draw,parameter,value"]
+    for d, row in enumerate(np.column_stack(cols)):
+        rows += [f"{d},{head},{float(v)!r}" for head, v in zip(heads, row)]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the number of usable CPUs the draws writer sees."""
+    def use(n):
+        monkeypatch.setattr(sampler.os, "sched_getaffinity",
+                            lambda pid: set(range(n)))
+    return use
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children the draws writer forks."""
+    pids = []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    real_fork = sampler.os.fork
+    monkeypatch.setattr(sampler.os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            sampler.os.waitpid(pid, sampler.os.WNOHANG)
+
+
+class TestWriteDrawsCsv:
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_draws, times", [(7, None), (3, None), (0, None),
+                                                (5, (1990, 1991))],
+                             ids=["static", "fewer-draws-than-cpus", "no-draws",
+                                  "dynamic"])
+    def test_same_bytes_as_the_serial_loop(self, tmp_path, cpus, forks,
+                                           n_cpus, n_draws, times):
+        samples = hand_samples(n_draws, ["r0", "r%1", 'r"2'], times)
+        cpus(n_cpus)
+        sampler.write_draws_csv(samples, tmp_path / "draws.csv")
+        assert ((tmp_path / "draws.csv").read_bytes()
+                == reference_draws_csv(samples).encode())
+        assert len(forks) == max(1, min(n_cpus, n_draws)) - 1
+        assert_reaped(forks)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["draws.csv"]
+
+    def test_dynamic_rows_name_alpha_by_time(self, tmp_path, cpus):
+        cpus(2)
+        sampler.write_draws_csv(hand_samples(4, ["a", "b"], (2001, 2002)),
+                                tmp_path / "draws.csv")
+        params = [line.split(",")[1] for line in
+                  (tmp_path / "draws.csv").read_text().splitlines()[1:10]]
+        assert params == ["beta[0]", "beta[1]", "phi[a]", "phi[b]", "tau",
+                          "alpha[2001]", "alpha[2002]", "rho", "omega"]
+
+    def test_failed_child_raises_and_leaves_no_temporary_file(
+            self, tmp_path, cpus, forks, monkeypatch):
+        write_rows = sampler._write_draw_rows
+
+        def failing_in_children(fh, cols, lead, lo, hi):
+            if lo > 0:
+                raise OSError("disk full")
+            write_rows(fh, cols, lead, lo, hi)
+
+        monkeypatch.setattr(sampler, "_write_draw_rows", failing_in_children)
+        cpus(3)
+        with pytest.raises(RuntimeError, match=r"formatting draws 2\.\.3 failed: "
+                                               r"child exited with status 1"):
+            sampler.write_draws_csv(hand_samples(6, ["a", "b"]), tmp_path / "draws.csv")
+        assert len(forks) == 2
+        assert_reaped(forks)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["draws.csv"]
+
+    def test_failing_caller_still_joins_its_children(self, tmp_path, cpus, forks,
+                                                     monkeypatch):
+        write_rows = sampler._write_draw_rows
+
+        def failing_in_caller(fh, cols, lead, lo, hi):
+            if lo == 0:
+                raise OSError("disk full")
+            write_rows(fh, cols, lead, lo, hi)
+
+        monkeypatch.setattr(sampler, "_write_draw_rows", failing_in_caller)
+        cpus(2)
+        with pytest.raises(OSError, match="disk full"):
+            sampler.write_draws_csv(hand_samples(6, ["a", "b"]), tmp_path / "draws.csv")
+        assert len(forks) == 1
+        assert_reaped(forks)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["draws.csv"]

@@ -5,6 +5,7 @@ from arealrisk.model import ModelSpec
 from arealrisk.sampler import SamplerConfig
 from arealrisk.simstudy import (
     ReplicationBatch,
+    TruthMap,
     TruthRecipe,
     build_truth,
     interval_comparisons,
@@ -54,6 +55,18 @@ class TestBuildTruth:
     def test_weighted_mean_risk_is_one(self, grid, pops):
         t = build_truth(grid, pops)
         assert t.r_true @ pops / pops.sum() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, 1.0])
+    def test_incidence_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"true incidences must lie in \(0, 1\)"):
+            TruthMap(("a", "b"), np.ones(2), np.array([0.1, bad]), np.ones(2), {})
+
+    @pytest.mark.parametrize("field, value", [("baseline", np.inf),
+                                              ("neighbor_bump", np.nan),
+                                              ("hub_bumps", (0.001, -np.inf))])
+    def test_non_finite_recipe_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"truth recipe {field} must be finite"):
+            TruthRecipe(**{field: value})
 
 
 class TestSimulateCounts:
