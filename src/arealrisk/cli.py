@@ -15,6 +15,8 @@ import configparser
 import json
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +398,35 @@ def cmd_study(args) -> int:
 # forecast
 
 
+def _chain_task(data, graph, spec, config):
+    """One chain in a pool worker. ``run_chain`` is looked up in this module when
+    the worker runs, so a wrapper installed on ``cli.run_chain`` reaches it."""
+    return run_chain(data, graph, spec, config)
+
+
+def _run_chains(tasks: dict) -> dict:
+    """The samples of every chain in ``tasks`` (key -> ``run_chain`` arguments).
+
+    The caller runs the first static chain itself, so that its first call into
+    ``run_chain`` comes before any worker exists. The other chains, dynamic ones
+    first, go to a pool of one worker per usable CPU, at most one per chain; with
+    fewer than two workers they run here, one after another. Each chain has its
+    own seed, so the samples do not depend on the number of workers.
+    """
+    first = next(key for key in tasks if key[1] == "static")
+    rest = sorted((key for key in tasks if key != first),
+                  key=lambda key: key[1] == "static")
+    samples = {first: run_chain(*tasks[first])}
+    workers = min(len(os.sched_getaffinity(0)), len(rest))
+    if workers < 2:
+        samples.update((key, run_chain(*tasks[key])) for key in rest)
+    else:  # forked, so that workers see this module as the caller patched it
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            futures = {key: pool.submit(_chain_task, *tasks[key]) for key in rest}
+            samples.update((key, f.result()) for key, f in futures.items())
+    return samples
+
+
 def cmd_forecast(args) -> int:
     seed = _resolve_seed(args)
     _check_level(args.level)
@@ -422,6 +453,15 @@ def cmd_forecast(args) -> int:
     observed = observed_raw_risks(panel, t_hold)
 
     families = ["cg", "is"] if args.family == "both" else [args.family]
+    # every chain, keyed (family, temporal); each has its own derived seed
+    tasks = {}
+    for family in families:
+        for temporal, data, label in (("dynamic_ar1", fit_panel, "dynamic"),
+                                      ("static", last_fitted, "static")):
+            config = _sampler_config(args, derive_seed(seed, "fit", label, family))
+            tasks[family, temporal] = (data, graph,
+                                       _spec_from_args(args, family, temporal), config)
+    samples = _run_chains(tasks)
     report = {
         "holdout": holdout,
         "last_fitted_year": labels[t_hold - 1],
@@ -429,12 +469,8 @@ def cmd_forecast(args) -> int:
         "estimators": {},
     }
     for family in families:
-        dyn_spec = _spec_from_args(args, family, "dynamic_ar1")
-        sta_spec = _spec_from_args(args, family, "static")
-        dyn_cfg = _sampler_config(args, derive_seed(seed, "fit", "dynamic", family))
-        sta_cfg = _sampler_config(args, derive_seed(seed, "fit", "static", family))
-        dyn = run_chain(fit_panel, graph, dyn_spec, dyn_cfg)
-        sta = run_chain(last_fitted, graph, sta_spec, sta_cfg)
+        dyn = samples[family, "dynamic_ar1"]
+        sta = samples[family, "static"]
 
         # interval lengths in the last fitted year, dynamic against static
         d_lens = {tag: summarize(draws, panel.region_ids, tag, args.level).length

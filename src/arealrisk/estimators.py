@@ -109,7 +109,8 @@ def _cg_tilde(p, dataset: Dataset, t):
 
 def _cg_true(p, dataset: Dataset, t):
     n_t = dataset.n[:, t] if dataset.is_dynamic else dataset.n
-    pbar = (p @ n_t) / n_t.sum()
+    # einsum, not BLAS gemv, whose rounding depends on the number of BLAS threads
+    pbar = np.einsum("di,i->d", p, n_t) / n_t.sum()
     return p / pbar[:, None]
 
 

@@ -149,6 +149,8 @@ def car_pairwise_sum(graph: AdjacencyGraph, phi: np.ndarray) -> float:
 
     Each unordered neighbor pair contributes once. Zero exactly when phi is
     constant on every connected component; invariant under adding a constant.
+    Summed by ``einsum``, not BLAS ``ddot``, whose rounding depends on the
+    number of BLAS threads.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (graph.n_regions,):
@@ -156,7 +158,7 @@ def car_pairwise_sum(graph: AdjacencyGraph, phi: np.ndarray) -> float:
             f"phi has shape {phi.shape}, expected ({graph.n_regions},)"
         )
     d = phi[graph.edges[:, 0]] - phi[graph.edges[:, 1]]
-    return float(np.dot(d, d))
+    return float(np.einsum("i,i->", d, d))
 
 
 def car_log_kernel(graph: AdjacencyGraph, phi: np.ndarray, tau: float) -> float:

@@ -90,7 +90,8 @@ def crps_empirical(draws, observed: float) -> float:
     D = x.size
     term1 = float(np.mean(np.abs(draws - observed)))
     weights = 2.0 * np.arange(1, D + 1) - D - 1
-    return term1 - float(weights @ (x - x[0])) / D**2
+    # einsum, not BLAS ddot, whose rounding depends on the number of BLAS threads
+    return term1 - float(np.einsum("i,i->", weights, x - x[0])) / D**2
 
 
 def evaluate_holdout(predicted, observed, level: float = 0.90,

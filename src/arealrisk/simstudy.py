@@ -109,7 +109,8 @@ def build_truth(graph: AdjacencyGraph, populations,
     for i in ring:
         p[i] += recipe.neighbor_bump
 
-    pbar = float(p @ populations / populations.sum())
+    # einsum, not BLAS ddot, whose rounding depends on the number of BLAS threads
+    pbar = float(np.einsum("i,i->", p, populations) / populations.sum())
     return TruthMap(
         region_ids=graph.region_ids,
         populations=populations,
@@ -260,8 +261,10 @@ def run_study(graph: AdjacencyGraph, truth: TruthMap, B: int, specs,
     task = partial(_replicate_task, master_seed=master_seed, graph=graph,
                    truth=truth, specs=specs, config=config, level=level,
                    fit_fn=fit_fn)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at once: no more than there are replicates
+    workers = min(jobs, B)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             replicates = list(pool.map(task, range(B), chunksize=1))
     else:
         replicates = list(map(task, range(B)))

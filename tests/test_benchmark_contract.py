@@ -119,3 +119,48 @@ def test_cmd_fit_calls_its_writers_through_the_module_in_the_caller(
     assert sorted(calls) == [("write_draws_csv", os.getpid()),
                              ("write_geojson_properties", os.getpid()),
                              ("write_summary_csv", os.getpid())]
+
+
+def test_cmd_forecast_enters_run_chain_in_the_caller_before_any_worker(
+        monkeypatch, tmp_path):
+    # launch.py ends set-up at the first run_chain call of each process and,
+    # under --setup-only, leaves there by os._exit; the traced run reads the
+    # graph from the caller's run_chain spans. So the caller must enter
+    # run_chain before it forks any worker that could enter it too.
+    import multiprocessing
+    import os
+
+    import numpy as np
+
+    from arealrisk import cli, sampler, simstudy
+
+    calls = tmp_path / "calls"
+    original = sampler.run_chain
+
+    def recording(*args, **kwargs):
+        # one line per call: the calling pid and how many children it has
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()} {len(multiprocessing.active_children())}\n")
+        return original(*args, **kwargs)
+
+    # as launch.py's _install does: every module bound to the function
+    for mod in (cli, simstudy, sampler):
+        if getattr(mod, "run_chain", None) is original:
+            monkeypatch.setattr(mod, "run_chain", recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+
+    rows = ["region,year,y,n"]
+    rng = np.random.default_rng(3)
+    for year in range(2000, 2004):
+        rows += [f"r{i},{year},{rng.poisson(40)},10000" for i in range(4)]
+    (tmp_path / "panel.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "adjacency.csv").write_text("from,to\nr0,r1\nr1,r2\nr2,r3\nr3,r0\n")
+    rc = cli.main(["forecast", "--data", str(tmp_path / "panel.csv"),
+                   "--adjacency", str(tmp_path / "adjacency.csv"), "--family", "both",
+                   "--iterations", "300", "--burn-in", "100", "--thin", "2",
+                   "--adapt-window", "50", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    lines = [tuple(map(int, line.split())) for line in calls.read_text().splitlines()]
+    assert len(lines) == 4
+    assert lines[0] == (os.getpid(), 0)  # the caller's, before any worker exists
+    assert {pid for pid, _ in lines[1:]} - {os.getpid()}  # the rest ran in workers

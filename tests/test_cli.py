@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -303,6 +304,54 @@ class TestForecast:
             outs.append(out)
         assert (outs[0] / "forecast_report.json").read_bytes() == \
             (outs[1] / "forecast_report.json").read_bytes()
+
+    @pytest.mark.parametrize("family", ["both", "cg"])
+    def test_same_bytes_on_one_two_and_four_cpus(self, panel_file, tmp_path,
+                                                  monkeypatch, family):
+        # the chains go to a pool of one worker per usable CPU
+        reports = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)))
+            out = tmp_path / str(cpus)
+            rc = run_cli("forecast", "--data", panel_file / "panel.csv",
+                         "--adjacency", panel_file / "adjacency.csv",
+                         "--family", family, *FAST, "--seed", 3, "--out", out)
+            assert rc == 0
+            reports.append((out / "forecast_report.json").read_bytes())
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+        assert multiprocessing.active_children() == []
+
+    def test_chain_failing_in_a_worker_exits_through_the_error_json(
+            self, panel_file, tmp_path, monkeypatch, capsys):
+        from arealrisk import cli
+
+        original = cli.run_chain
+        failed_in = tmp_path / "pids"
+
+        def failing_dynamic(dataset, graph, spec, config):
+            if spec.temporal == "static":
+                return original(dataset, graph, spec, config)
+            with open(failed_in, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            raise RuntimeError("dynamic chain failed")
+
+        monkeypatch.setattr(cli, "run_chain", failing_dynamic)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        rc = run_cli("forecast", "--data", panel_file / "panel.csv",
+                     "--adjacency", panel_file / "adjacency.csv",
+                     "--family", "both", *FAST, "--out", tmp_path / "out")
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "RuntimeError", "message": "dynamic chain failed"}
+        assert not (tmp_path / "out" / "forecast_report.json").exists()
+        workers = {int(pid) for pid in failed_in.read_text().split()}
+        assert workers and os.getpid() not in workers
+        for pid in workers:  # reaped: no longer a child of this process
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        assert multiprocessing.active_children() == []
 
 
 class TestCompare:

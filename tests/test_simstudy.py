@@ -235,6 +235,35 @@ class TestRunStudy:
                 assert np.array_equal(serial.batches[tag].lengths,
                                       parallel.batches[tag].lengths)
 
+    @pytest.mark.parametrize("jobs, B, workers", [(500, 2, 2), (2, 3, 2), (3, 3, 3)])
+    def test_pool_has_at_most_one_worker_per_replicate(self, grid, pops, monkeypatch,
+                                                       jobs, B, workers):
+        # a fork pool starts max_workers processes at once; this stand-in starts
+        # none and runs the replicates here
+        from arealrisk import simstudy
+
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(simstudy, "ProcessPoolExecutor", RecordingPool)
+        truth = build_truth(grid, pops)
+        res = run_study(grid, truth, B=B, specs=STUDY_SPECS, config=tiny_config(),
+                        master_seed=23, jobs=jobs, fit_fn=jittered_stub_fit)
+        assert seen == [workers]
+        assert res.design["B_effective"] == B
+
     def test_real_smoke_fit(self, grid, pops):
         # exercise the real fitting path at a tiny chain length
         truth = build_truth(grid, pops)
