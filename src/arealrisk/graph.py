@@ -60,7 +60,7 @@ class AdjacencyGraph:
             raise GraphStructureError(f"self-loop at region {ids[i]!r}")
         pairs.sort(axis=1)
         key = np.unique(pairs[:, 0] * n + pairs[:, 1])  # sorts (lo, hi) pairs
-        edge_arr = np.column_stack([key // n, key % n])
+        edge_arr = np.stack([key // n, key % n]).T  # contiguous columns, to gather
 
         degrees = np.bincount(edge_arr.ravel(), minlength=n)
         islands = [ids[i] for i in np.nonzero(degrees == 0)[0]]
@@ -157,7 +157,7 @@ def car_pairwise_sum(graph: AdjacencyGraph, phi: np.ndarray) -> float:
         raise ValueError(
             f"phi has shape {phi.shape}, expected ({graph.n_regions},)"
         )
-    d = phi[graph.edges[:, 0]] - phi[graph.edges[:, 1]]
+    d = phi.take(graph.edges[:, 0]) - phi.take(graph.edges[:, 1])
     return float(np.einsum("i,i->", d, d))
 
 

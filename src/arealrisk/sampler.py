@@ -8,8 +8,9 @@ dynamic fits, each temporal effect, the AR(1) coefficient, and the
 innovation variance (exact inverse-gamma draw). Spatial effects are
 recentered to sum to zero after each sweep, with the mean folded into the
 intercept so the likelihood is untouched. The chain carries the per-cell
-likelihood terms of its current state, so each Metropolis step evaluates
-the likelihood only at its proposal.
+likelihood terms of its current state, so each Metropolis block evaluates
+the likelihood only at its proposals: the spatial and the temporal block
+each evaluate all of theirs in one kernel call.
 
 Proposal scales adapt during burn-in toward a target acceptance band and
 freeze afterwards, preserving detailed balance for the retained draws.
@@ -161,9 +162,6 @@ class _FitContext:
         self.offset = np.log(internal_standardization(dataset)
                              if spec.family == "is" else dataset.n)
         self.colors = graph.coloring()
-        # per class: its regions' counts and offsets, gathered once
-        self.color_data = [(self.y.take(idx, axis=0), self.offset.take(idx, axis=0))
-                           for idx in self.colors]
         # per class: each CSR entry's row within the class, and its neighbour,
         # gathered from the class's CSR row segments in class order
         self.color_nbrs = []
@@ -192,21 +190,12 @@ class _FitContext:
         """Per-cell likelihood terms of the whole state, shaped like ``y``."""
         return _poisson_terms(self.y, self.offset, _eta(xb, phi, alpha), self.spec)
 
-    def region_loglik(self, k, phi_vals, xb, alpha=None):
-        """Likelihood terms of colour class ``k``'s regions at effects ``phi_vals``.
 
-        Rows of ``xb`` are gathered with ``take``, which on panel arrays costs
-        about a third of the equivalent fancy index.
-        """
-        y, offset = self.color_data[k]
-        eta = _eta(xb.take(self.colors[k], axis=0), phi_vals, alpha)
-        terms = _poisson_terms(y, offset, eta, self.spec)
-        return terms.sum(axis=1) if self.dataset.is_dynamic else terms
-
-    def slice_terms(self, t, beta_xb, phi, alpha_t):
-        """Per-region likelihood terms of time slice ``t`` (dynamic only)."""
-        eta = _eta(beta_xb[:, t], phi, alpha_t)
-        return _poisson_terms(self.y[:, t], self.offset[:, t], eta, self.spec)
+def _ar1_sums(alpha, rho):
+    """(1 - rho^2) alpha_0^2 and the sum over t >= 1 of (alpha_t - rho alpha_{t-1})^2."""
+    alpha = np.asarray(alpha, dtype=float)
+    resid = alpha[1:] - rho * alpha[:-1]
+    return (1.0 - rho**2) * alpha[0] ** 2, float(resid @ resid)
 
 
 def ar1_log_prior(alpha, rho, omega) -> float:
@@ -215,17 +204,13 @@ def ar1_log_prior(alpha, rho, omega) -> float:
     The first effect gets the stationary N(0, omega/(1-rho^2)) distribution;
     later effects follow alpha_t = rho * alpha_{t-1} + N(0, omega).
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if not -1.0 < rho < 1.0:
+    if not -1.0 < rho < 1.0 or omega <= 0:
         return -np.inf
-    if omega <= 0:
-        return -np.inf
-    T = alpha.size
-    resid = alpha[1:] - rho * alpha[:-1]
+    start, resid = _ar1_sums(alpha, rho)
     out = -0.5 * np.log(2.0 * np.pi * omega / (1.0 - rho**2))
-    out -= (1.0 - rho**2) * alpha[0] ** 2 / (2.0 * omega)
-    out += -0.5 * (T - 1) * np.log(2.0 * np.pi * omega)
-    out -= float(resid @ resid) / (2.0 * omega)
+    out -= start / (2.0 * omega)
+    out += -0.5 * (len(alpha) - 1) * np.log(2.0 * np.pi * omega)
+    out -= resid / (2.0 * omega)
     return float(out)
 
 
@@ -240,26 +225,30 @@ def _ar1_conditional(alpha, t, value, rho, omega) -> float:
         out -= (1.0 - rho**2) * value**2 / (2.0 * omega)
     else:
         out -= (value - rho * alpha[t - 1]) ** 2 / (2.0 * omega)
-    if t + 1 < alpha.size:
+    if t + 1 < len(alpha):
         out -= (alpha[t + 1] - rho * value) ** 2 / (2.0 * omega)
     return out
 
 
-def _phi_log_ratio(ctx, st, k, prop, xb, terms):
-    """Log acceptance ratios of colour class ``k``'s phi moving to ``prop``.
+def _phi_loglik_diffs(ctx, st, prop, xb, terms):
+    """Each region's likelihood difference, phi moving from ``st`` to ``prop``.
 
-    One entry per region of the class: its CAR conditional difference plus
-    its likelihood difference, the current side read from the carried
-    per-cell ``terms`` of the state ``st`` (whose x @ beta is ``xb``).
+    One kernel call for the whole block: a region's terms depend only on its
+    own phi. The current side is the carried per-cell ``terms`` of ``st``,
+    whose x @ beta is ``xb``; a panel's terms are summed per region.
     """
+    prop_terms = ctx.terms(xb, prop, st.alpha)
+    if ctx.dataset.is_dynamic:
+        return prop_terms.sum(axis=1) - terms.sum(axis=1)
+    return prop_terms - terms
+
+
+def _phi_log_ratio(ctx, st, k, prop, d_lik):
+    """Log ratios of colour class ``k`` moving to ``prop``: CAR terms plus ``d_lik``."""
     idx, deg = ctx.colors[k], ctx.color_deg[k]
     cur = st.phi[idx]
     nbr_mean = ctx.neighbor_sums(k, st.phi) / deg
     d_prior = -0.5 * st.tau * deg * ((prop - nbr_mean) ** 2 - (cur - nbr_mean) ** 2)
-    cur_lik = terms.take(idx, axis=0)
-    if ctx.dataset.is_dynamic:
-        cur_lik = cur_lik.sum(axis=1)
-    d_lik = ctx.region_loglik(k, prop, xb, st.alpha) - cur_lik
     return d_prior + d_lik
 
 
@@ -275,17 +264,23 @@ def _beta_log_ratio(ctx, st, prop, cur_ll):
     return prop_ll - cur_ll, (prop_xb, prop_terms, prop_ll)
 
 
-def _alpha_log_ratio(ctx, st, t, prop, xb, terms):
-    """Log acceptance ratio of alpha_t moving to ``prop``, and slice t's new terms.
+def _alpha_loglik_diffs(ctx, st, prop, xb, terms):
+    """Each year's likelihood difference, alpha moving from ``st`` to ``prop``.
 
-    AR(1) terms involving alpha_t plus the likelihood of slice t, the
-    current side read from the carried per-cell ``terms``.
+    One kernel call for the whole block: a year's terms depend only on its
+    own alpha. Also returns the proposal's per-cell terms.
     """
-    d_prior = (_ar1_conditional(st.alpha, t, prop, st.rho, st.omega)
-               - _ar1_conditional(st.alpha, t, st.alpha[t], st.rho, st.omega))
-    prop_terms = ctx.slice_terms(t, xb, st.phi, prop)
-    d_lik = float(prop_terms.sum()) - float(terms[:, t].sum())
-    return d_prior + d_lik, prop_terms
+    prop_terms = ctx.terms(xb, st.phi, prop)
+    # each year summed as a contiguous row, as a one-year slice is summed
+    return (prop_terms.T.copy().sum(axis=1) - terms.T.copy().sum(axis=1),
+            prop_terms)
+
+
+def _alpha_log_ratio(alpha, t, prop, rho, omega, d_lik):
+    """Log ratio of alpha_t moving to ``prop``: its AR(1) terms plus ``d_lik``."""
+    d_prior = (_ar1_conditional(alpha, t, prop, rho, omega)
+               - _ar1_conditional(alpha, t, alpha[t], rho, omega))
+    return d_prior + d_lik
 
 
 def _rho_log_ratio(st, prop):
@@ -308,11 +303,8 @@ def omega_posterior_params(alpha, rho: float):
     Derived from the stationary-start AR(1) density and the omega^{-1}
     prior: shape T/2 and scale half the stationary-weighted residual sum.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    T = alpha.size
-    resid = alpha[1:] - rho * alpha[:-1]
-    q = (1.0 - rho**2) * alpha[0] ** 2 + float(resid @ resid)
-    return 0.5 * T, 0.5 * q
+    start, resid = _ar1_sums(alpha, rho)
+    return 0.5 * len(alpha), 0.5 * (start + resid)
 
 
 def adapt_scales(scales, accepted, proposed, target):
@@ -364,47 +356,50 @@ class _ChainRunner:
             self.blocks.update(alpha=_Block(data.n_times), rho=_Block(1))
         self.state = st
         # the current state's x @ beta and per-cell likelihood terms, carried
-        # through the sweep so each Metropolis step evaluates only its proposal
+        # through the sweep so each Metropolis block evaluates only its proposals
         self.xb = self.ctx.xb(st.beta)
         self.terms = self.ctx.terms(self.xb, st.phi, st.alpha)
 
     # -- individual updates -------------------------------------------------
 
-    def _accept(self, block, i, delta) -> bool:
+    def _accept(self, block, i, delta, log_u) -> bool:
         """Metropolis test of entry ``i`` of ``block`` at log ratio ``delta``.
 
-        A NaN or +inf ratio is a rejection, counted as non-finite. Every test
-        draws one uniform; the proposal, and any acceptance, are counted.
+        A NaN or +inf ratio is a rejection, counted as non-finite. ``log_u``
+        is the log of the test's uniform. Proposals and acceptances are counted.
         """
         if not delta < np.inf:
             block.nonfinite += 1
             delta = -np.inf
-        accept = np.log(self.rng.random()) < delta
+        accept = log_u < delta
         block.proposed[i] += 1
         block.accepted[i] += accept
         return accept
 
     def update_phi_block(self):
-        st = self.state
-        ctx = self.ctx
-        block = self.blocks["phi"]
-        # The cache is read, never written, here. A region's terms depend only
-        # on its own phi and each region is in one class, so the reads stay
-        # valid through the block; the recentering below leaves the cache
-        # stale until update_beta rebuilds it.
+        st, ctx, block = self.state, self.ctx, self.blocks["phi"]
+        # class by class, its normals then its uniforms: this order fixes the draws
+        z, log_u = np.empty(st.phi.size), []
+        for idx in ctx.colors:
+            z[idx] = self.rng.standard_normal(idx.size)
+            log_u.append(np.log(self.rng.random(idx.size)))
+        prop = st.phi + block.scales * z
+        # The cache is read, never written, here: each region is in one class,
+        # so the differences stay valid through the block. The recentering
+        # below leaves the cache stale until update_beta rebuilds it.
+        d_lik = _phi_loglik_diffs(ctx, st, prop, self.xb, self.terms)
         for k, idx in enumerate(ctx.colors):
-            cur = st.phi[idx]
-            prop = cur + block.scales[idx] * self.rng.standard_normal(idx.size)
-            delta = _phi_log_ratio(ctx, st, k, prop, self.xb, self.terms)
+            cur, prop_k = st.phi[idx], prop[idx]
+            delta = _phi_log_ratio(ctx, st, k, prop_k, d_lik[idx])
             # as in _accept: NaN and +inf reject and are counted, one uniform each
             finite = delta < np.inf
             block.nonfinite += finite.size - int(np.count_nonzero(finite))
-            accept = (np.log(self.rng.random(idx.size)) < delta) & finite
-            st.phi[idx] = np.where(accept, prop, cur)
+            accept = (log_u[k] < delta) & finite
+            st.phi[idx] = np.where(accept, prop_k, cur)
             block.accepted[idx] += accept
         block.proposed += 1  # the colour classes partition the regions
         # recenter: fold the mean into the intercept (likelihood invariant)
-        shift = st.phi.mean()
+        shift = np.add.reduce(st.phi) / st.phi.size
         st.phi -= shift
         if ctx.intercept is not None:
             st.beta[ctx.intercept] += shift
@@ -420,7 +415,7 @@ class _ChainRunner:
             prop = st.beta.copy()
             prop[j] += block.scales[j] * self.rng.standard_normal()
             delta, carry = _beta_log_ratio(ctx, st, prop, cur_ll)
-            if self._accept(block, j, delta):
+            if self._accept(block, j, delta, np.log(self.rng.random())):
                 st.beta, (xb, terms, cur_ll) = prop, carry
         self.xb = xb
         self.terms = terms
@@ -432,15 +427,20 @@ class _ChainRunner:
         st.tau = float(self.rng.gamma(shape, 1.0 / rate))
 
     def update_alpha(self):
-        st = self.state
-        terms = self.terms
-        block = self.blocks["alpha"]
-        for t in range(st.alpha.size):
-            prop = st.alpha[t] + block.scales[t] * self.rng.standard_normal()
-            delta, prop_terms = _alpha_log_ratio(self.ctx, st, t, prop, self.xb, terms)
-            if self._accept(block, t, delta):
-                st.alpha[t] = prop
-                terms[:, t] = prop_terms
+        st, block = self.state, self.blocks["alpha"]
+        # year by year, a normal then a uniform: this order fixes the draws
+        z, u = np.array([(self.rng.standard_normal(), self.rng.random())
+                         for _ in st.alpha]).T
+        prop = st.alpha + block.scales * z
+        d_lik, prop_terms = _alpha_loglik_diffs(self.ctx, st, prop, self.xb, self.terms)
+        alpha = st.alpha.tolist()
+        for t, (p, d, log_u) in enumerate(zip(prop.tolist(), d_lik.tolist(),
+                                              np.log(u).tolist())):
+            delta = _alpha_log_ratio(alpha, t, p, st.rho, st.omega, d)
+            if self._accept(block, t, delta, log_u):
+                alpha[t] = p
+                self.terms[:, t] = prop_terms[:, t]
+        st.alpha[:] = alpha
 
     def update_rho(self):
         st = self.state
@@ -449,7 +449,7 @@ class _ChainRunner:
         if not -1.0 < prop < 1.0:
             block.proposed[0] += 1
             return  # proposals outside the stationarity region draw no uniform
-        if self._accept(block, 0, _rho_log_ratio(st, prop)):
+        if self._accept(block, 0, _rho_log_ratio(st, prop), np.log(self.rng.random())):
             st.rho = float(prop)
 
     def update_omega(self):

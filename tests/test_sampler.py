@@ -24,10 +24,12 @@ from arealrisk.sampler import (
     ChainState,
     SamplerConfig,
     _alpha_log_ratio,
+    _alpha_loglik_diffs,
     _beta_log_ratio,
     _ChainRunner,
     _FitContext,
     _phi_log_ratio,
+    _phi_loglik_diffs,
     _rho_log_ratio,
     adapt_scales,
     ar1_log_prior,
@@ -123,13 +125,35 @@ def joint_at(ctx, st, **moved):
                                s.tau, s.alpha, s.rho, s.omega)
 
 
+def phi_ratio(ctx, st, k, prop):
+    """The sweep's log ratios of colour class ``k`` moving to ``prop``.
+
+    The block's one kernel call sees every region: class ``k``'s at ``prop``,
+    the others at their current values.
+    """
+    idx = ctx.colors[k]
+    every = st.phi.copy()
+    every[idx] = prop
+    d_lik = _phi_loglik_diffs(ctx, st, every, *carried(ctx, st))
+    return _phi_log_ratio(ctx, st, k, prop, d_lik[idx])
+
+
+def alpha_ratio(ctx, st, t, value):
+    """The sweep's log ratio of alpha_t moving to ``value``, from the block's one
+    kernel call with every other year at its current value."""
+    prop = st.alpha.copy()
+    prop[t] = value
+    d_lik, _ = _alpha_loglik_diffs(ctx, st, prop, *carried(ctx, st))
+    return _alpha_log_ratio(st.alpha.tolist(), t, value, st.rho, st.omega, d_lik[t])
+
+
 # Each check returns (the sweep's log ratio, the joint's difference) for one
 # block moving from the state ``st`` to a proposal.
 
 
 def phi_check(ctx, st, k, prop):
     """Colour class ``k`` moving to ``prop``, the joint moved one region at a time."""
-    ratio = _phi_log_ratio(ctx, st, k, prop, *carried(ctx, st))
+    ratio = phi_ratio(ctx, st, k, prop)
     base = joint_at(ctx, st)
     diffs = []
     for i, value in zip(ctx.colors[k], prop):
@@ -146,7 +170,7 @@ def beta_check(ctx, st, prop):
 
 
 def alpha_check(ctx, st, t, value):
-    ratio, _ = _alpha_log_ratio(ctx, st, t, value, *carried(ctx, st))
+    ratio = alpha_ratio(ctx, st, t, value)
     alpha = st.alpha.copy()
     alpha[t] = value
     return ratio, joint_at(ctx, st, alpha=alpha) - joint_at(ctx, st)
@@ -251,7 +275,7 @@ class TestFullConditionalConsistency:
         prop = st.phi[ctx.colors[k]]
         at_one = ctx.colors[k] == 1
         prop[at_one] += 0.1
-        away = _phi_log_ratio(ctx, st, k, prop, *carried(ctx, st))[at_one][0]
+        away = phi_ratio(ctx, st, k, prop)[at_one][0]
         assert away < -1e5
 
 
@@ -358,7 +382,7 @@ class TestMetropolisRule:
 
         for t in range(4):
             for v in (-0.4, 0.3):
-                got, _ = _alpha_log_ratio(ctx, st, t, v, *carried(ctx, st))
+                got = alpha_ratio(ctx, st, t, v)
                 expected = slice_lik(t, v) - slice_lik(t, 0.0) - v**2 / (2.0 * st.omega)
                 assert got == pytest.approx(expected, abs=1e-9)
 
@@ -551,6 +575,92 @@ class TestLikelihoodCache:
             assert np.array_equal(runner.terms, fresh)
 
 
+class TestBatchedKernel:
+    """The phi and alpha blocks each make one kernel call over all their
+    proposals. Bit for bit, it gives what one call per colour class (per year)
+    gives on the same rows, so the batching moves no draw."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), spec=hst.sampled_from(SPECS_STATIC),
+           T=hst.sampled_from([None, 2, 9, 12]), k=hst.integers(1, 3),
+           I=hst.integers(6, 40))
+    def test_phi_differences_match_per_class_evaluation(self, seed, spec, T, k, I):
+        rng = np.random.default_rng(seed)
+        graph, data = covariate_problem(rng, k, T=T, I=I)
+        if T is not None:
+            spec = dataclasses.replace(spec, temporal="dynamic_ar1")
+        ctx = _FitContext(data, graph, spec)
+        st = random_state(rng, I, k, T=T)
+        xb, terms = carried(ctx, st)
+        prop = st.phi + rng.normal(scale=0.8, size=I)
+        d_lik = _phi_loglik_diffs(ctx, st, prop, xb, terms)
+        for idx in ctx.colors:
+            eta = _eta(xb[idx], prop[idx], st.alpha)
+            prop_k = _poisson_terms(ctx.y[idx], ctx.offset[idx], eta, spec)
+            cur_k = terms[idx]
+            if T is not None:
+                prop_k, cur_k = prop_k.sum(axis=1), cur_k.sum(axis=1)
+            assert np.array_equal(d_lik[idx], prop_k - cur_k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), spec=hst.sampled_from(SPECS_STATIC),
+           T=hst.integers(2, 10), k=hst.integers(1, 3), I=hst.integers(6, 40))
+    def test_alpha_sums_match_per_year_evaluation(self, seed, spec, T, k, I):
+        rng = np.random.default_rng(seed)
+        graph, data = covariate_problem(rng, k, T=T, I=I)
+        spec = dataclasses.replace(spec, temporal="dynamic_ar1")
+        ctx = _FitContext(data, graph, spec)
+        st = random_state(rng, I, k, T=T)
+        xb, terms = carried(ctx, st)
+        prop = st.alpha + rng.normal(scale=0.6, size=T)
+        d_lik, prop_terms = _alpha_loglik_diffs(ctx, st, prop, xb, terms)
+        for t in range(T):
+            eta = _eta(xb[:, t], st.phi, prop[t])
+            year = _poisson_terms(ctx.y[:, t], ctx.offset[:, t], eta, spec)
+            assert np.array_equal(prop_terms[:, t], year)
+            assert d_lik[t] == float(year.sum()) - float(terms[:, t].sum())
+
+
+class RecordingRng:
+    """A generator that records each draw's method and size, in order."""
+
+    def __init__(self, seed):
+        self.real, self.calls = np.random.default_rng(seed), []
+
+    def standard_normal(self, size=None):
+        self.calls.append(("standard_normal", size))
+        return self.real.standard_normal(size)
+
+    def random(self, size=None):
+        self.calls.append(("random", size))
+        return self.real.random(size)
+
+
+class TestDrawOrder:
+    """The batched blocks draw in the order of a loop that evaluates one class
+    (one year) at a time, so every draw, and every artifact, stays the same."""
+
+    @staticmethod
+    def recorded(update):
+        graph, data = covariate_problem(np.random.default_rng(40), k=2, T=4, I=12)
+        runner = _ChainRunner(data, graph, ModelSpec("cg", temporal="dynamic_ar1"),
+                              quick_config())
+        runner.rng = RecordingRng(5)
+        getattr(runner, update)()
+        return runner
+
+    def test_phi_block_draws_normals_then_uniforms_class_by_class(self):
+        runner = self.recorded("update_phi_block")
+        sizes = [idx.size for idx in runner.ctx.colors]
+        assert len(sizes) == 3
+        assert runner.rng.calls == [(draw, n) for n in sizes
+                                    for draw in ("standard_normal", "random")]
+
+    def test_alpha_block_draws_a_normal_then_a_uniform_year_by_year(self):
+        runner = self.recorded("update_alpha")
+        assert runner.rng.calls == [("standard_normal", None), ("random", None)] * 4
+
+
 class TestNonFinite:
     def dynamic_runner(self):
         graph, data = covariate_problem(np.random.default_rng(36), k=2, T=4)
@@ -558,15 +668,18 @@ class TestNonFinite:
         return _ChainRunner(data, graph, spec, quick_config(n_iterations=40,
                                                             burn_in=20))
 
-    def poison(self, runner, block, bad):
+    def poison(self, monkeypatch, runner, block, bad):
         """Make every proposal of ``block`` evaluate to a ``bad`` likelihood."""
         ctx = runner.ctx
         if block == "phi":
-            real = ctx.region_loglik
-            ctx.region_loglik = lambda *a: real(*a) + bad
+            real = _phi_loglik_diffs
+            monkeypatch.setattr(sampler, "_phi_loglik_diffs",
+                                lambda *a: real(*a) + bad)
         elif block == "alpha":
-            real = ctx.slice_terms
-            ctx.slice_terms = lambda *a: real(*a) + bad
+            def poisoned(*a, real=_alpha_loglik_diffs):
+                d_lik, prop_terms = real(*a)
+                return d_lik + bad, prop_terms
+            monkeypatch.setattr(sampler, "_alpha_loglik_diffs", poisoned)
         else:  # the first call of update_beta evaluates the current state
             real, calls = ctx.terms, itertools.count()
             ctx.terms = lambda *a: real(*a) + (bad if next(calls) else 0.0)
@@ -587,7 +700,7 @@ class TestNonFinite:
         mixed = np.resize([0.0, np.nan, np.inf, -np.inf], idx.size)
         assert idx.size >= 4
         monkeypatch.setattr(sampler, "_phi_log_ratio",
-                            lambda ctx, st, c, prop, xb, terms:
+                            lambda ctx, st, c, prop, d_lik:
                             mixed.copy() if c == k else np.full(prop.size, -np.inf))
 
         class CountedUniforms:  # every proposal, rejected or not, draws one
@@ -614,11 +727,11 @@ class TestNonFinite:
     @pytest.mark.parametrize("block, update", [("phi", "update_phi_block"),
                                                ("beta", "update_beta"),
                                                ("alpha", "update_alpha")])
-    def test_proposals_rejected_and_counted(self, block, update, bad):
+    def test_proposals_rejected_and_counted(self, monkeypatch, block, update, bad):
         runner = self.dynamic_runner()
         st = runner.state
         before = getattr(st, block).copy()
-        self.poison(runner, block, bad)
+        self.poison(monkeypatch, runner, block, bad)
         getattr(runner, update)()
         assert np.array_equal(getattr(st, block), before)
         assert runner.blocks[block].accepted.sum() == 0
@@ -639,10 +752,10 @@ class TestNonFinite:
         assert block.accepted[0] == 0 and block.proposed[0] == 5
         assert self.nonfinite(runner) == {"phi": 0, "beta": 0, "alpha": 0, "rho": 5}
 
-    def test_one_warning_per_block_at_end_of_chain(self, caplog):
+    def test_one_warning_per_block_at_end_of_chain(self, monkeypatch, caplog):
         runner = self.dynamic_runner()
-        self.poison(runner, "phi", np.nan)
-        self.poison(runner, "alpha", np.inf)
+        self.poison(monkeypatch, runner, "phi", np.nan)
+        self.poison(monkeypatch, runner, "alpha", np.inf)
         with caplog.at_level(logging.WARNING, logger="arealrisk.sampler"):
             samples = runner.run()
         data, sweeps = runner.ctx.dataset, runner.config.n_iterations
@@ -672,9 +785,9 @@ class TestSweepCallsTheCheckedRatios:
         runner.xb, runner.terms = carried(runner.ctx, st)
         before = {block: getattr(st, block).copy() for block in ("phi", "beta", "alpha")}
         monkeypatch.setattr(sampler, "_phi_log_ratio",
-                            lambda ctx, st, k, prop, xb, terms: np.full(prop.size, -np.inf))
+                            lambda ctx, st, k, prop, d_lik: np.full(prop.size, -np.inf))
         monkeypatch.setattr(sampler, "_beta_log_ratio", lambda *a: (-np.inf, None))
-        monkeypatch.setattr(sampler, "_alpha_log_ratio", lambda *a: (-np.inf, None))
+        monkeypatch.setattr(sampler, "_alpha_log_ratio", lambda *a: -np.inf)
         for _ in range(5):
             runner.sweep()
         for block, value in before.items():
