@@ -15,8 +15,6 @@ import configparser
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +42,13 @@ from .model import (
     _write_json,
     load_dataset,
 )
-from .sampler import SamplerConfig, run_chain, write_draws_csv, write_metadata_json
+from .sampler import (
+    SamplerConfig,
+    _fork_map,
+    run_chain,
+    write_draws_csv,
+    write_metadata_json,
+)
 from .seeding import derive_seed
 from .simstudy import (
     TruthRecipe,
@@ -398,32 +402,20 @@ def cmd_study(args) -> int:
 # forecast
 
 
-def _chain_task(data, graph, spec, config):
-    """One chain in a pool worker. ``run_chain`` is looked up in this module when
-    the worker runs, so a wrapper installed on ``cli.run_chain`` reaches it."""
-    return run_chain(data, graph, spec, config)
-
-
 def _run_chains(tasks: dict) -> dict:
     """The samples of every chain in ``tasks`` (key -> ``run_chain`` arguments).
 
     The caller runs the first static chain itself, so that its first call into
     ``run_chain`` comes before any worker exists. The other chains, dynamic ones
-    first, go to a pool of one worker per usable CPU, at most one per chain; with
-    fewer than two workers they run here, one after another. Each chain has its
-    own seed, so the samples do not depend on the number of workers.
+    first, go through ``_fork_map``; ``run_chain`` is looked up here as each runs,
+    so a wrapper installed on ``cli.run_chain`` reaches the workers. Each chain
+    has its own seed, so the samples do not depend on the number of workers.
     """
     first = next(key for key in tasks if key[1] == "static")
     rest = sorted((key for key in tasks if key != first),
                   key=lambda key: key[1] == "static")
     samples = {first: run_chain(*tasks[first])}
-    workers = min(len(os.sched_getaffinity(0)), len(rest))
-    if workers < 2:
-        samples.update((key, run_chain(*tasks[key])) for key in rest)
-    else:  # forked, so that workers see this module as the caller patched it
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            futures = {key: pool.submit(_chain_task, *tasks[key]) for key in rest}
-            samples.update((key, f.result()) for key, f in futures.items())
+    samples.update(zip(rest, _fork_map(lambda key: run_chain(*tasks[key]), rest)))
     return samples
 
 

@@ -48,7 +48,8 @@ class Dataset:
     Static data carries 1-d ``y``/``n`` of length I and covariates ``x`` of
     shape (I, k). Panel data carries (I, T) counts/populations, covariates
     (I, T, k), and ordered time labels. Covariates always include an
-    explicit intercept column (the loader prepends one).
+    explicit intercept column: the loader prepends one, and fits reject
+    covariates without one.
     """
 
     region_ids: tuple
@@ -225,7 +226,7 @@ def _log_link(link: str | None, eta, c0: float | None = None):
     if link == "logit":
         return np.minimum(eta, 0.0) - np.log1p(np.exp(-np.minimum(np.abs(eta), _ETA_MAX)))
     if link == "cloglog":
-        return np.log(-np.expm1(-np.exp(eta.clip(-_ETA_MAX, _ETA_MAX))))
+        return np.log(-np.expm1(-np.exp(np.minimum(np.maximum(eta, -_ETA_MAX), _ETA_MAX))))
     raise ValueError(f"unknown link {link!r}")
 
 

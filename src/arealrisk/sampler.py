@@ -153,6 +153,10 @@ class _FitContext:
             )
         if spec.is_dynamic and dataset.n_times < 2:
             raise ValueError("dynamic fits need at least two time points")
+        # phi's recentering folds into the intercept; without one it biases the chain
+        self.intercept = dataset.intercept_column
+        if self.intercept is None:
+            raise ValueError("the covariates need an intercept: add an all-ones column")
         self.dataset = dataset
         self.graph = graph
         self.spec = spec
@@ -173,7 +177,6 @@ class _FitContext:
             pos = np.arange(rows.size) + shift[rows]
             self.color_nbrs.append((rows, graph._indices[pos]))
         self.color_deg = [graph.degrees[idx].astype(float) for idx in self.colors]
-        self.intercept = dataset.intercept_column
 
     def neighbor_sums(self, k, phi):
         """Sum of ``phi`` over each neighbour of colour class ``k``'s regions.
@@ -401,8 +404,7 @@ class _ChainRunner:
         # recenter: fold the mean into the intercept (likelihood invariant)
         shift = np.add.reduce(st.phi) / st.phi.size
         st.phi -= shift
-        if ctx.intercept is not None:
-            st.beta[ctx.intercept] += shift
+        st.beta[ctx.intercept] += shift
 
     def update_beta(self):
         st = self.state
@@ -540,18 +542,55 @@ def run_chain(dataset: Dataset, graph: AdjacencyGraph, spec: ModelSpec,
 
 
 # ---------------------------------------------------------------------------
+# worker processes
+
+
+_forked = None  # in a worker: the (fn, items) of the _fork_map call that forked it
+
+
+def _fork_map(fn, items, workers=None) -> list:
+    """``[fn(item) for item in items]`` over a sequence, in forked worker processes.
+
+    ``workers`` (default: the usable CPUs) is capped at one per item; with fewer
+    than two the items run here. Workers are always forked, so ``fn`` and ``items``
+    reach them unpickled and see every module as the caller left it. A worker's
+    exception, or ``BrokenProcessPool`` if one died, is raised once all are reaped.
+    """
+    n = min(_usable_cpus() if workers is None else workers, len(items))
+    if n < 2:
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(n, mp_context=get_context("fork"),
+                             initializer=_set_forked, initargs=(fn, items)) as pool:
+        return list(pool.map(_call_forked, range(len(items))))
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _set_forked(fn, items) -> None:
+    global _forked
+    _forked = fn, items
+
+
+def _call_forked(i):
+    fn, items = _forked
+    return fn(items[i])
+
+
+# ---------------------------------------------------------------------------
 # artifact writers
 
 
 def write_draws_csv(samples: PosteriorSamples, path) -> None:
     """Dump all retained draws as ``draw,parameter,value`` rows.
 
-    The draws are split into contiguous ranges, one per usable CPU. The
-    caller formats the first range straight into ``path``; a forked child
-    formats each other range into an unnamed temporary file in the same
-    directory, and the caller appends those files in order. The bytes are
-    the same whatever the number of CPUs. A failed child raises
-    ``RuntimeError`` once every child has been joined.
+    With more than one usable CPU, ``_fork_map`` formats one contiguous range of
+    draws per CPU into an unnamed temporary file in the same directory, and the
+    caller appends the files in order: the bytes do not depend on the CPU count.
     """
     labels = {"beta": range(samples.beta.shape[1]), "phi": samples.region_ids,
               "alpha": samples.times}
@@ -565,27 +604,28 @@ def write_draws_csv(samples: PosteriorSamples, path) -> None:
     # a draw's rows are str(draw).join(lead) % values; %r of a float is _fmt
     lead = ["", *(h.replace("%", "%%") + "%r\n" for h in heads)]
     n_draws = samples.n_draws
-    n_parts = max(1, min(len(os.sched_getaffinity(0)), n_draws))
-    ranges = [(n_draws * k // n_parts, n_draws * (k + 1) // n_parts)
-              for k in range(n_parts)]
-    parts, pids = [], []
+    n_parts = max(1, min(_usable_cpus(), n_draws))
+    parts = []
+
+    def write_part(k):
+        with open(parts[k].fileno(), "w", newline="", closefd=False) as fh:
+            _write_draw_rows(fh, cols, lead, n_draws * k // n_parts,
+                             n_draws * (k + 1) // n_parts)
+
     try:
-        for lo, hi in ranges[1:]:
-            parts.append(tempfile.TemporaryFile(dir=Path(path).parent))
-            pids.append(_fork_draw_rows(parts[-1], cols, lead, lo, hi))
+        if n_parts > 1:
+            for _ in range(n_parts):
+                parts.append(tempfile.TemporaryFile(dir=Path(path).parent))
+            _fork_map(write_part, range(n_parts))
         with open(path, "w", newline="") as fh:
             fh.write("draw,parameter,value\n")
-            _write_draw_rows(fh, cols, lead, *ranges[0])
-            for (lo, hi), code in zip(ranges[1:], _join(pids)):
-                if code:
-                    raise RuntimeError(f"formatting draws {lo}..{hi - 1} failed: "
-                                       f"child exited with status {code}")
+            if not parts:
+                _write_draw_rows(fh, cols, lead, 0, n_draws)
             fh.flush()
             for part in parts:
                 part.seek(0)
                 shutil.copyfileobj(part, fh.buffer)
     finally:
-        _join(pids)
         for part in parts:
             part.close()
 
@@ -595,33 +635,6 @@ def _write_draw_rows(fh, cols, lead, lo, hi) -> None:
     for d in range(lo, hi):
         row = np.concatenate([c[d] for c in cols]).tolist()
         fh.write(str(d).join(lead) % tuple(row))
-
-
-def _fork_draw_rows(part, cols, lead, lo, hi) -> int:
-    """Fork a child that writes draws ``lo`` to ``hi - 1`` into ``part``.
-
-    The child sees the draws through fork, not pickling, and leaves by
-    ``os._exit``, so none of the caller's cleanup or exit handlers run there.
-    """
-    pid = os.fork()
-    if pid:
-        return pid
-    status = 1
-    try:
-        with open(part.fileno(), "w", newline="", closefd=False) as fh:
-            _write_draw_rows(fh, cols, lead, lo, hi)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _join(pids) -> list:
-    """Wait for every child in ``pids``, emptying it; their exit codes in order."""
-    codes = []
-    while pids:
-        codes.append(os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1]))
-        pids.pop(0)
-    return codes
 
 
 def write_metadata_json(samples: PosteriorSamples, path) -> None:

@@ -12,9 +12,7 @@ from the master seed, so results do not depend on scheduling.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -22,7 +20,7 @@ from .estimators import _risk_draws, summarize
 from .graph import AdjacencyGraph
 from .metrics import observed_raw_risks
 from .model import Dataset, _fmt
-from .sampler import SamplerConfig, run_chain
+from .sampler import SamplerConfig, _fork_map, run_chain
 from .seeding import derive_rng, derive_seed
 
 __all__ = [
@@ -258,16 +256,8 @@ def run_study(graph: AdjacencyGraph, truth: TruthMap, B: int, specs,
     if B < 2:
         raise ValueError("a study needs at least two replicates")
     specs = list(specs)
-    task = partial(_replicate_task, master_seed=master_seed, graph=graph,
-                   truth=truth, specs=specs, config=config, level=level,
-                   fit_fn=fit_fn)
-    # a fork pool starts all its workers at once: no more than there are replicates
-    workers = min(jobs, B)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            replicates = list(pool.map(task, range(B), chunksize=1))
-    else:
-        replicates = list(map(task, range(B)))
+    replicates = _fork_map(lambda b: _replicate_task(
+        b, master_seed, graph, truth, specs, config, level, fit_fn), range(B), jobs)
 
     failures = [(r.index, r.failure) for r in replicates if r.failure is not None]
     kept = [r for r in replicates if r.failure is None]
@@ -390,19 +380,20 @@ def write_matrix_csv(result: StudyResult, which: str, path) -> None:
     """Write coverage or length matrices in long form.
 
     Rows are ``replicate,region,estimator,value`` for every estimator that
-    carries intervals.
+    carries intervals; ``replicate`` is the index that ``failures`` uses.
     """
     if which not in ("coverage", "lengths"):
         raise ValueError("which must be 'coverage' or 'lengths'")
     ids = result.truth.region_ids
+    failed = {b for b, _ in result.failures}
+    kept = [b for b in range(result.design["B_requested"]) if b not in failed]
     with open(path, "w", newline="") as fh:
         fh.write("replicate,region,estimator,value\n")
         for tag, batch in result.batches.items():
             mat = getattr(batch, which)
             if mat is None:
                 continue
-            for b in range(mat.shape[0]):
-                for i, region in enumerate(ids):
-                    v = mat[b, i]
+            for b, row in zip(kept, mat):
+                for region, v in zip(ids, row):
                     val = str(int(v)) if which == "coverage" else _fmt(v)
                     fh.write(f"{b},{region},{tag},{val}\n")

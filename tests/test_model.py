@@ -173,6 +173,10 @@ class TestLogSpaceKernel:
         inside = np.abs(eta) <= _ETA_MAX  # past it the logit's e^-|eta| is bounded
         ulps = np.abs(g.view(np.int64) - ref.view(np.int64))
         assert ulps[inside].max() <= 4
+        if link == "cloglog":  # past the bound, at +-inf and at NaN: the clipped bits
+            far = np.array([800.0, -800.0, np.inf, -np.inf, np.nan])
+            clipped = np.log(-np.expm1(-np.exp(np.clip(far, -_ETA_MAX, _ETA_MAX))))
+            assert np.array_equal(_log_link(link, far), clipped, equal_nan=True)
 
     @pytest.mark.parametrize("link,c0", CG_LINKS + [(None, None)])
     def test_g_finite_and_nondecreasing(self, link, c0):

@@ -1,6 +1,15 @@
+import ast
 import dataclasses
 import itertools
 import logging
+import os
+import pickle
+import re
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,6 +448,15 @@ class TestRunChain:
         with pytest.raises(ValueError, match="rank"):
             run_chain(data, graph, ModelSpec("cg"), quick_config())
 
+    def test_fit_without_intercept_rejected(self):
+        # the recentering of phi is folded into the intercept; without one the
+        # chain would target the wrong posterior
+        graph = AdjacencyGraph(["a", "b", "c"], [(0, 1), (1, 2)])
+        data = Dataset(graph.region_ids, [3, 9, 15], [500.0, 1000.0, 2000.0],
+                       np.array([[1.0], [1.2], [1.5]]))
+        with pytest.raises(ValueError, match="intercept: add an all-ones column"):
+            run_chain(data, graph, ModelSpec("cg"), quick_config())
+
     def test_temporal_mode_mismatch_rejected(self):
         rng = np.random.default_rng(33)
         graph, data = random_static_problem(rng)
@@ -870,7 +888,7 @@ def cpus(monkeypatch):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the children the draws writer forks."""
+    """The pids of the workers the draws writer forks."""
     pids = []
 
     def fork():
@@ -903,7 +921,8 @@ class TestWriteDrawsCsv:
         sampler.write_draws_csv(samples, tmp_path / "draws.csv")
         assert ((tmp_path / "draws.csv").read_bytes()
                 == reference_draws_csv(samples).encode())
-        assert len(forks) == max(1, min(n_cpus, n_draws)) - 1
+        workers = min(n_cpus, n_draws)  # with fewer than two, the caller formats
+        assert len(forks) == (workers if workers > 1 else 0)
         assert_reaped(forks)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["draws.csv"]
 
@@ -927,26 +946,107 @@ class TestWriteDrawsCsv:
 
         monkeypatch.setattr(sampler, "_write_draw_rows", failing_in_children)
         cpus(3)
-        with pytest.raises(RuntimeError, match=r"formatting draws 2\.\.3 failed: "
-                                               r"child exited with status 1"):
+        with pytest.raises(OSError, match="disk full"):
             sampler.write_draws_csv(hand_samples(6, ["a", "b"]), tmp_path / "draws.csv")
-        assert len(forks) == 2
+        assert len(forks) == 3
         assert_reaped(forks)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["draws.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     def test_failing_caller_still_joins_its_children(self, tmp_path, cpus, forks,
                                                      monkeypatch):
         write_rows = sampler._write_draw_rows
 
-        def failing_in_caller(fh, cols, lead, lo, hi):
-            if lo == 0:
-                raise OSError("disk full")
+        def unreadable_then_slow(fh, cols, lead, lo, hi):
+            if lo == 0:  # the caller fails to read this back while the other runs
+                raise Unreadable()
+            time.sleep(1.0)
             write_rows(fh, cols, lead, lo, hi)
 
-        monkeypatch.setattr(sampler, "_write_draw_rows", failing_in_caller)
+        monkeypatch.setattr(sampler, "_write_draw_rows", unreadable_then_slow)
         cpus(2)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(BrokenProcessPool):
             sampler.write_draws_csv(hand_samples(6, ["a", "b"]), tmp_path / "draws.csv")
-        assert len(forks) == 1
+        assert len(forks) == 2
         assert_reaped(forks)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["draws.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def _refuse_unpickling():
+    raise pickle.UnpicklingError("refused")
+
+
+class Unreadable(Exception):
+    """Pickles in a worker; unpickling it in the caller fails."""
+
+    def __reduce__(self):
+        return _refuse_unpickling, ()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestForkMap:
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_fewer_than_two_workers_run_in_the_caller(self, workers):
+        assert sampler._fork_map(lambda i: (i, os.getpid()), range(3), workers) == [
+            (i, os.getpid()) for i in range(3)]
+
+    def test_dead_worker_raises_and_the_other_is_reaped(self):
+        # run in a subprocess, so that a hang fails the test at the timeout
+        script = """\
+import os, time
+from concurrent.futures.process import BrokenProcessPool
+from arealrisk.sampler import _fork_map
+
+pids, real_fork = [], os.fork
+def fork():
+    pid = real_fork()
+    if pid:
+        pids.append(pid)
+    return pid
+os.fork = fork
+
+def work(i):
+    if i == 0:
+        os._exit(3)
+    time.sleep(0.2)
+    return i
+
+try:
+    _fork_map(work, range(2), 2)
+except BrokenProcessPool:
+    pass
+else:
+    raise SystemExit("no error")
+os.fork = real_fork
+for pid in pids:
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        continue
+    raise SystemExit(f"worker {pid} not reaped")
+print(len(pids))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "2\n"
+
+    def test_only_fork_map_starts_processes(self):
+        # one owner for worker processes and the CPU count that sizes them: no
+        # other mechanism may come back
+        pattern = re.compile(r"os\.fork|ProcessPoolExecutor|multiprocessing"
+                             r"|get_context|sched_getaffinity")
+        tree = ast.parse((SRC / "arealrisk" / "sampler.py").read_text())
+        allowed = {n for node in tree.body if isinstance(node, ast.FunctionDef)
+                   and node.name in ("_fork_map", "_usable_cpus")
+                   for n in range(node.lineno, node.end_lineno + 1)}
+        stray = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted((SRC / "arealrisk").glob("*.py"))
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if pattern.search(line)
+                 and not (path.name == "sampler.py" and n in allowed)]
+        assert stray == []

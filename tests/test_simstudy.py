@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,7 +21,11 @@ from arealrisk.simstudy import (
     simulate_counts,
     study_report,
     synthetic_populations,
+    write_matrix_csv,
 )
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -238,31 +247,60 @@ class TestRunStudy:
     @pytest.mark.parametrize("jobs, B, workers", [(500, 2, 2), (2, 3, 2), (3, 3, 3)])
     def test_pool_has_at_most_one_worker_per_replicate(self, grid, pops, monkeypatch,
                                                        jobs, B, workers):
-        # a fork pool starts max_workers processes at once; this stand-in starts
-        # none and runs the replicates here
-        from arealrisk import simstudy
-
+        # a fork pool starts all its workers at once: count the forks
         seen = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
+        def fork():
+            pid = real_fork()
+            if pid:
+                seen.append(pid)
+            return pid
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(simstudy, "ProcessPoolExecutor", RecordingPool)
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", fork)
         truth = build_truth(grid, pops)
         res = run_study(grid, truth, B=B, specs=STUDY_SPECS, config=tiny_config(),
                         master_seed=23, jobs=jobs, fit_fn=jittered_stub_fit)
-        assert seen == [workers]
+        assert len(seen) == workers
         assert res.design["B_effective"] == B
+
+    def test_jobs_parallel_matches_serial_whatever_the_default_start_method(self):
+        # the workers are forked even where the default start method is not
+        # fork, so a fit_fn that cannot be pickled still reaches them
+        script = """\
+import multiprocessing
+multiprocessing.set_start_method("forkserver", force=True)
+import numpy as np
+from arealrisk.model import ModelSpec
+from arealrisk.sampler import SamplerConfig
+from arealrisk.simstudy import build_truth, lattice_graph, run_study
+
+def main():
+    def stub_fit(dataset, graph, spec, config, truth, level):
+        rng = np.random.default_rng(config.seed)
+        r = truth.r_true * np.exp(rng.normal(scale=0.05, size=truth.r_true.size))
+        return {"r_" + spec.family: (r, r * 0.8, r * 1.3)}, {}
+
+    grid = lattice_graph(3)
+    truth = build_truth(grid, np.full(grid.n_regions, 50_000.0))
+    config = SamplerConfig(n_iterations=60, burn_in=20, thin=1, adapt_window=10)
+    runs = [run_study(grid, truth, 4, [ModelSpec("cg"), ModelSpec("is")], config,
+                      master_seed=5, jobs=jobs, fit_fn=stub_fit) for jobs in (1, 2)]
+    for tag, batch in runs[0].batches.items():
+        other = runs[1].batches[tag]
+        assert np.array_equal(batch.loss_ratio, other.loss_ratio), tag
+        assert np.array_equal(batch.lengths, other.lengths), tag
+    print(sorted(runs[0].batches))
+
+main()
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['mle', 'r_cg', 'r_is']\n"
 
     def test_real_smoke_fit(self, grid, pops):
         # exercise the real fitting path at a tiny chain length
@@ -387,6 +425,18 @@ class TestRunStudyFailures:
             assert batch.loss_ratio.shape == batch.loss_bias.shape == (2,)
             if batch.coverage is not None:
                 assert batch.coverage.shape == batch.lengths.shape == (2, 16)
+
+    @pytest.mark.parametrize("which", ["coverage", "lengths"])
+    def test_matrix_rows_numbered_by_replicate_index(self, grid, pops, tmp_path,
+                                                     which):
+        truth = build_truth(grid, pops)
+        res = run_study(grid, truth, B=3, specs=STUDY_SPECS, config=tiny_config(),
+                        master_seed=FAIL_MASTER, fit_fn=failing_on_one_stub_fit)
+        write_matrix_csv(res, which, tmp_path / "m.csv")
+        rows = (tmp_path / "m.csv").read_text().splitlines()[1:]
+        # replicate 1 failed: the rows keep the numbers 0 and 2 of the failures list
+        assert sorted({int(row.split(",")[0]) for row in rows}) == [0, 2]
+        assert len(rows) == 2 * grid.n_regions * 3  # r_is, r_cg_tilde, r_cg
 
     def test_zero_count_replicate_excluded(self, grid):
         from arealrisk.seeding import derive_seed
