@@ -5,12 +5,13 @@ Metropolis, grouped by graph coloring so non-adjacent regions move
 together), the regression coefficients (componentwise random walk with a
 flat prior), the CAR precision (exact conjugate Gamma draw), and, for
 dynamic fits, each temporal effect, the AR(1) coefficient, and the
-innovation variance (exact inverse-gamma draw). Spatial effects are
-recentered to sum to zero after each sweep, with the mean folded into the
-intercept so the likelihood is untouched. The chain carries the per-cell
-likelihood terms of its current state, so each Metropolis block evaluates
-the likelihood only at its proposals: the spatial and the temporal block
-each evaluate all of theirs in one kernel call.
+innovation variance (exact inverse-gamma draw). The chain carries the
+per-cell likelihood terms of its current state, each block overwriting the
+terms it accepts, so a Metropolis block evaluates the likelihood only at its
+proposals: the spatial and temporal blocks in one kernel call each. No block
+sees the level of the spatial effects, which the CAR prior leaves free; each
+recorded draw is centered to sum to zero instead, with its mean folded into
+the intercept so the likelihood is untouched.
 
 Proposal scales adapt during burn-in toward a target acceptance band and
 freeze afterwards, preserving detailed balance for the retained draws.
@@ -153,7 +154,7 @@ class _FitContext:
             )
         if spec.is_dynamic and dataset.n_times < 2:
             raise ValueError("dynamic fits need at least two time points")
-        # phi's recentering folds into the intercept; without one it biases the chain
+        # each phi draw is centered into the intercept; without one it biases the chain
         self.intercept = dataset.intercept_column
         if self.intercept is None:
             raise ValueError("the covariates need an intercept: add an all-ones column")
@@ -234,7 +235,7 @@ def _ar1_conditional(alpha, t, value, rho, omega) -> float:
 
 
 def _phi_loglik_diffs(ctx, st, prop, xb, terms):
-    """Each region's likelihood difference, phi moving from ``st`` to ``prop``.
+    """Per-region likelihood differences of phi moving to ``prop``, and its terms.
 
     One kernel call for the whole block: a region's terms depend only on its
     own phi. The current side is the carried per-cell ``terms`` of ``st``,
@@ -242,8 +243,8 @@ def _phi_loglik_diffs(ctx, st, prop, xb, terms):
     """
     prop_terms = ctx.terms(xb, prop, st.alpha)
     if ctx.dataset.is_dynamic:
-        return prop_terms.sum(axis=1) - terms.sum(axis=1)
-    return prop_terms - terms
+        return prop_terms.sum(axis=1) - terms.sum(axis=1), prop_terms
+    return prop_terms - terms, prop_terms
 
 
 def _phi_log_ratio(ctx, st, k, prop, d_lik):
@@ -387,10 +388,10 @@ class _ChainRunner:
             z[idx] = self.rng.standard_normal(idx.size)
             log_u.append(np.log(self.rng.random(idx.size)))
         prop = st.phi + block.scales * z
-        # The cache is read, never written, here: each region is in one class,
-        # so the differences stay valid through the block. The recentering
-        # below leaves the cache stale until update_beta rebuilds it.
-        d_lik = _phi_loglik_diffs(ctx, st, prop, self.xb, self.terms)
+        # each region is in one class and its terms depend only on its own phi,
+        # so the differences stay valid through the block
+        d_lik, prop_terms = _phi_loglik_diffs(ctx, st, prop, self.xb, self.terms)
+        moved = np.zeros(st.phi.size, dtype=bool)
         for k, idx in enumerate(ctx.colors):
             cur, prop_k = st.phi[idx], prop[idx]
             delta = _phi_log_ratio(ctx, st, k, prop_k, d_lik[idx])
@@ -399,28 +400,22 @@ class _ChainRunner:
             block.nonfinite += finite.size - int(np.count_nonzero(finite))
             accept = (log_u[k] < delta) & finite
             st.phi[idx] = np.where(accept, prop_k, cur)
-            block.accepted[idx] += accept
+            moved[idx] = accept
+        block.accepted += moved
         block.proposed += 1  # the colour classes partition the regions
-        # recenter: fold the mean into the intercept (likelihood invariant)
-        shift = np.add.reduce(st.phi) / st.phi.size
-        st.phi -= shift
-        st.beta[ctx.intercept] += shift
+        # the accepted regions' terms, whole rows of a panel
+        keep = moved if self.terms.ndim == 1 else moved[:, None]
+        self.terms = np.where(keep, prop_terms, self.terms)
 
     def update_beta(self):
-        st = self.state
-        ctx = self.ctx
-        block = self.blocks["beta"]
-        xb = ctx.xb(st.beta)
-        terms = ctx.terms(xb, st.phi, st.alpha)
-        cur_ll = float(terms.sum())
+        st, ctx, block = self.state, self.ctx, self.blocks["beta"]
+        cur_ll = float(self.terms.sum())
         for j in range(st.beta.size):
             prop = st.beta.copy()
             prop[j] += block.scales[j] * self.rng.standard_normal()
             delta, carry = _beta_log_ratio(ctx, st, prop, cur_ll)
             if self._accept(block, j, delta, np.log(self.rng.random())):
-                st.beta, (xb, terms, cur_ll) = prop, carry
-        self.xb = xb
-        self.terms = terms
+                st.beta, (self.xb, self.terms, cur_ll) = prop, carry
 
     def update_tau(self):
         st = self.state
@@ -510,6 +505,10 @@ class _ChainRunner:
             d = it // cfg.thin - 1
             for name in kept:
                 out[name][d] = getattr(st, name)
+            # center the draw's phi, folding its mean into the intercept
+            shift = np.add.reduce(st.phi) / st.phi.size
+            out["phi"][d] -= shift
+            out["beta"][d, self.ctx.intercept] += shift
 
         for name, b in blocks.items():
             if b.nonfinite:

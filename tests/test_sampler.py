@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import itertools
 import logging
 import os
 import pickle
@@ -19,7 +18,7 @@ from scipy import integrate
 from scipy.stats import gamma, invgamma, norm
 
 from arealrisk import sampler
-from arealrisk.graph import AdjacencyGraph, car_log_kernel
+from arealrisk.graph import AdjacencyGraph, car_log_kernel, car_pairwise_sum
 from arealrisk.model import (
     Dataset,
     ModelSpec,
@@ -143,7 +142,7 @@ def phi_ratio(ctx, st, k, prop):
     idx = ctx.colors[k]
     every = st.phi.copy()
     every[idx] = prop
-    d_lik = _phi_loglik_diffs(ctx, st, every, *carried(ctx, st))
+    d_lik, _ = _phi_loglik_diffs(ctx, st, every, *carried(ctx, st))
     return _phi_log_ratio(ctx, st, k, prop, d_lik[idx])
 
 
@@ -286,6 +285,49 @@ class TestFullConditionalConsistency:
         prop[at_one] += 0.1
         away = phi_ratio(ctx, st, k, prop)[at_one][0]
         assert away < -1e5
+
+
+class TestLevelInvariance:
+    """Moving the state to (beta0 - c, phi + c) leaves x'beta + phi and every
+    difference of phi as they were, so the CAR kernel and every block's log
+    ratio are unchanged to rounding: no block depends on phi's level."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), spec=hst.sampled_from(SPECS_STATIC),
+           T=hst.sampled_from([None, 3]), I=hst.integers(2, 12),
+           c=hst.floats(-20.0, 20.0))
+    def test_shifting_phi_into_the_intercept_moves_no_ratio(self, seed, spec, T,
+                                                            I, c):
+        rng = np.random.default_rng(seed)
+        # a random spanning tree plus random chords, so no region is isolated
+        edges = [(i, int(rng.integers(0, i))) for i in range(1, I)]
+        edges += [(i, j) for i, j in rng.integers(0, I, size=(I, 2)) if i != j]
+        graph = AdjacencyGraph([f"g{i}" for i in range(I)], edges)
+        shape = (I,) if T is None else (I, T)
+        x = np.ones(shape + (2,))
+        x[..., 1] = rng.normal(size=shape)
+        data = Dataset(graph.region_ids, rng.integers(0, 21, size=shape),
+                       rng.uniform(20.0, 300.0, size=shape), x,
+                       None if T is None else tuple(range(T)))
+        if T is not None:
+            spec = dataclasses.replace(spec, temporal="dynamic_ar1")
+        ctx = _FitContext(data, graph, spec)
+        st = random_state(rng, I, 2, T=T)
+        level = np.zeros(2)
+        level[ctx.intercept] = c
+        shifted = dataclasses.replace(st, beta=st.beta - level, phi=st.phi + c)
+        close = dict(rel=1e-9, abs=1e-9)
+
+        assert car_pairwise_sum(graph, shifted.phi) == pytest.approx(
+            car_pairwise_sum(graph, st.phi), **close)
+        for k, idx in enumerate(ctx.colors):
+            prop = st.phi[idx] + rng.normal(scale=0.8, size=idx.size)
+            assert phi_ratio(ctx, shifted, k, prop + c) == pytest.approx(
+                phi_ratio(ctx, st, k, prop), **close)
+        prop = st.beta.copy()
+        prop[int(rng.integers(0, 2))] += rng.normal()
+        assert beta_check(ctx, shifted, prop - level)[0] == pytest.approx(
+            beta_check(ctx, st, prop)[0], **close)
 
 
 class TestTauConjugacy:
@@ -449,7 +491,7 @@ class TestRunChain:
             run_chain(data, graph, ModelSpec("cg"), quick_config())
 
     def test_fit_without_intercept_rejected(self):
-        # the recentering of phi is folded into the intercept; without one the
+        # each phi draw's mean is folded into the intercept; without one the
         # chain would target the wrong posterior
         graph = AdjacencyGraph(["a", "b", "c"], [(0, 1), (1, 2)])
         data = Dataset(graph.region_ids, [3, 9, 15], [500.0, 1000.0, 2000.0],
@@ -571,11 +613,18 @@ def covariate_problem(rng, k, T=None, I=6):
     return graph, Dataset(graph.region_ids, y, n, x, times)
 
 
+UPDATES = ("update_phi_block", "update_beta", "update_tau", "update_alpha",
+           "update_rho", "update_omega")
+
+
 class TestLikelihoodCache:
+    """Every block writes into the carried x @ beta and per-cell terms exactly
+    what it accepts, so they equal a fresh evaluation after every block."""
+
     @settings(max_examples=40, deadline=None)
     @given(seed=hst.integers(0, 2**32 - 1), spec=hst.sampled_from(SPECS_STATIC),
            dynamic=hst.booleans(), k=hst.integers(1, 2))
-    def test_cache_matches_fresh_terms_after_every_sweep(self, seed, spec,
+    def test_cache_matches_fresh_terms_after_every_block(self, seed, spec,
                                                          dynamic, k):
         rng = np.random.default_rng(seed)
         graph, data = covariate_problem(rng, k, T=4 if dynamic else None)
@@ -585,12 +634,89 @@ class TestLikelihoodCache:
         ctx, st = runner.ctx, runner.state
         offset = np.log(internal_standardization(data) if spec.family == "is"
                         else data.n)
+        checked = []
+
+        def checking(name, update):
+            def run():
+                update()
+                checked.append(name)
+                xb = ctx.x @ st.beta
+                fresh = _poisson_terms(data.y, offset, _eta(xb, st.phi, st.alpha),
+                                       spec)
+                assert np.array_equal(runner.xb, xb), name
+                assert np.array_equal(runner.terms, fresh), name
+            return run
+
+        for name in UPDATES:  # the sweep finds these on the instance
+            setattr(runner, name, checking(name, getattr(runner, name)))
         for _ in range(6):
             runner.sweep()
-            xb = ctx.x @ st.beta
-            fresh = _poisson_terms(data.y, offset, _eta(xb, st.phi, st.alpha), spec)
-            assert np.array_equal(runner.xb, xb)
-            assert np.array_equal(runner.terms, fresh)
+        assert checked == list(UPDATES if dynamic else UPDATES[:3]) * 6
+
+    @pytest.mark.parametrize("k, T", [(1, None), (3, None), (2, 4)])
+    def test_one_kernel_call_per_block_and_per_coefficient(self, k, T):
+        # phi's block and alpha's each evaluate all their proposals in one call;
+        # beta evaluates one proposal per coefficient and never the current state
+        graph, data = covariate_problem(np.random.default_rng(41), k, T=T)
+        spec = ModelSpec("cg", temporal="static" if T is None else "dynamic_ar1")
+        runner = _ChainRunner(data, graph, spec, quick_config())
+        real, calls = runner.ctx.terms, []
+        runner.ctx.terms = lambda *a: calls.append(a) or real(*a)
+        for _ in range(3):
+            runner.sweep()
+        assert len(calls) == 3 * (1 + k + (T is not None))
+
+
+class _RecenteringRunner(_ChainRunner):
+    """The sweep that pinned phi's level in every sweep: phi recentered to sum
+    zero after its block, the mean folded into the intercept, and the
+    coefficient block rebuilding the likelihood cache the fold left stale."""
+
+    def update_phi_block(self):
+        st = self.state
+        super().update_phi_block()
+        shift = np.add.reduce(st.phi) / st.phi.size
+        st.phi -= shift
+        st.beta[self.ctx.intercept] += shift
+
+    def update_beta(self):
+        st = self.state
+        self.xb = self.ctx.xb(st.beta)
+        self.terms = self.ctx.terms(self.xb, st.phi, st.alpha)
+        super().update_beta()
+
+
+class TestRecordTimeCentering:
+    """The chain leaves phi's level free and centers each recorded draw. In
+    exact arithmetic that is the recentering chain, shifted by (beta0 - c,
+    phi + c): every ratio, random draw and adaptation step is the same, so
+    the draws differ by rounding only."""
+
+    @pytest.mark.parametrize("spec, T", [
+        (ModelSpec("cg", link="logit"), None),
+        (ModelSpec("is"), None),
+        (ModelSpec("cg", link="cloglog", temporal="dynamic_ar1"), 4),
+    ], ids=["cg-logit", "is", "cg-cloglog-dynamic"])
+    def test_draws_match_the_recentering_chain(self, spec, T):
+        graph, data = covariate_problem(np.random.default_rng(42), 2, T=T, I=12)
+        cfg = SamplerConfig(n_iterations=2_500, burn_in=500, thin=1, seed=43,
+                            adapt_window=100)
+        runner = _ChainRunner(data, graph, spec, cfg)
+        new, ref = runner.run(), _RecenteringRunner(data, graph, spec, cfg).run()
+        assert abs(np.add.reduce(runner.state.phi)) > 1e-6  # the level did move
+        for name in ("beta", "phi", "alpha", "rho"):
+            if getattr(ref, name) is not None:
+                assert np.allclose(getattr(new, name), getattr(ref, name),
+                                   rtol=0.0, atol=1e-9), name
+        for name in ("tau", "omega"):
+            if getattr(ref, name) is not None:
+                assert np.allclose(getattr(new, name), getattr(ref, name),
+                                   rtol=1e-9, atol=0.0), name
+        for name, rates in ref.acceptance.items():
+            assert np.array_equal(new.acceptance[name], rates), name
+            assert np.array_equal(new.proposal_scales[name],
+                                  ref.proposal_scales[name]), name
+        assert np.max(np.abs(new.phi.sum(axis=1))) < 1e-10
 
 
 class TestBatchedKernel:
@@ -611,10 +737,11 @@ class TestBatchedKernel:
         st = random_state(rng, I, k, T=T)
         xb, terms = carried(ctx, st)
         prop = st.phi + rng.normal(scale=0.8, size=I)
-        d_lik = _phi_loglik_diffs(ctx, st, prop, xb, terms)
+        d_lik, prop_terms = _phi_loglik_diffs(ctx, st, prop, xb, terms)
         for idx in ctx.colors:
             eta = _eta(xb[idx], prop[idx], st.alpha)
             prop_k = _poisson_terms(ctx.y[idx], ctx.offset[idx], eta, spec)
+            assert np.array_equal(prop_terms[idx], prop_k)
             cur_k = terms[idx]
             if T is not None:
                 prop_k, cur_k = prop_k.sum(axis=1), cur_k.sum(axis=1)
@@ -689,18 +816,16 @@ class TestNonFinite:
     def poison(self, monkeypatch, runner, block, bad):
         """Make every proposal of ``block`` evaluate to a ``bad`` likelihood."""
         ctx = runner.ctx
-        if block == "phi":
-            real = _phi_loglik_diffs
-            monkeypatch.setattr(sampler, "_phi_loglik_diffs",
-                                lambda *a: real(*a) + bad)
-        elif block == "alpha":
-            def poisoned(*a, real=_alpha_loglik_diffs):
+        if block in ("phi", "alpha"):
+            name = f"_{block}_loglik_diffs"
+
+            def poisoned(*a, real=getattr(sampler, name)):
                 d_lik, prop_terms = real(*a)
                 return d_lik + bad, prop_terms
-            monkeypatch.setattr(sampler, "_alpha_loglik_diffs", poisoned)
-        else:  # the first call of update_beta evaluates the current state
-            real, calls = ctx.terms, itertools.count()
-            ctx.terms = lambda *a: real(*a) + (bad if next(calls) else 0.0)
+            monkeypatch.setattr(sampler, name, poisoned)
+        else:  # update_beta evaluates its proposals only
+            real = ctx.terms
+            ctx.terms = lambda *a: real(*a) + bad
 
     @staticmethod
     def nonfinite(runner):
@@ -796,7 +921,7 @@ class TestSweepCallsTheCheckedRatios:
         runner = _ChainRunner(data, graph, ModelSpec("cg", temporal="dynamic_ar1"),
                               quick_config())
         st = runner.state
-        # dyadic and summing to exactly zero, so the recentering shift is 0.0
+        # a state away from the start: with every ratio rejecting, nothing moves it
         st.phi = np.array([0.5, -0.25, 0.75, -1.0, 0.25, -0.25])
         st.beta = np.array([-2.0, 0.3])
         st.alpha = np.array([0.1, -0.2, 0.05, 0.3])
@@ -812,6 +937,71 @@ class TestSweepCallsTheCheckedRatios:
             assert np.array_equal(getattr(st, block), value), block
             assert runner.blocks[block].accepted.sum() == 0, block
             assert np.all(runner.blocks[block].proposed == 5), block
+
+
+def batch_means_mcse(draws, batches=50):
+    """Monte Carlo standard error of each column's mean, from batch means."""
+    n = draws.shape[0] // batches * batches
+    means = draws[:n].reshape(batches, -1, draws.shape[1]).mean(axis=1)
+    return means.std(axis=0, ddof=1) / np.sqrt(batches)
+
+
+class TestPosteriorOracle:
+    """The assembled chain against the exact posterior of a 3-region path map.
+
+    Criterion 2 checks each block's ratio on its own; this checks what only
+    the whole chain does: the draw order, the adaptation freeze, the carried
+    likelihood terms and the centering of each recorded draw. With tau
+    integrated out under the code's tau^(I/2) normalizer, the posterior of
+    (beta0, phi) lives on phi = U z, for an orthonormal basis U of the sum-zero
+    plane: pi(z, beta0) is proportional to
+    L(beta0 + U z) (b + S(U z)/2)^-(a + I/2), and E[tau | z] is
+    (a + I/2) / (b + S/2). A grid gives the exact posterior means, to about
+    1e-6; each chain mean must lie within 4 Monte Carlo standard errors."""
+
+    Y, N = np.array([3, 9, 15]), np.array([500.0, 1000.0, 2000.0])
+
+    def exact_means(self, spec, beta0):
+        """Posterior means of (beta0, phi_1, phi_2, phi_3, tau) on a grid."""
+        a, b = spec.tau_prior
+        half_i = 1.5  # I/2
+        z = np.linspace(-6.0, 6.0, 81)
+        u = np.column_stack([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]) / np.sqrt([2.0, 6.0])
+        phi = np.stack(np.meshgrid(z, z, indexing="ij"), -1).reshape(-1, 2) @ u.T
+        S = (phi[:, 0] - phi[:, 1]) ** 2 + (phi[:, 1] - phi[:, 2]) ** 2
+        eta = beta0[:, None, None] + phi  # (beta0, z, region)
+        if spec.family == "is":
+            log_mu = np.log(self.N * self.Y.sum() / self.N.sum()) + eta
+        elif spec.link == "logit":
+            log_mu = np.log(self.N) - np.logaddexp(0.0, -eta)
+        else:
+            log_mu = np.log(self.N) + np.log(-np.expm1(-np.exp(eta)))
+        log_post = ((self.Y * log_mu - np.exp(log_mu)).sum(axis=-1)
+                    - (a + half_i) * np.log(b + S / 2.0))
+        w = np.exp(log_post - log_post.max())
+        w /= w.sum()
+        # the grid holds the posterior: its border carries no mass
+        cube = w.reshape(beta0.size, z.size, z.size)
+        assert max(cube[[0, -1]].sum(), cube[:, [0, -1]].sum(),
+                   cube[:, :, [0, -1]].sum()) < 1e-9
+        w_z = w.sum(axis=0)
+        return np.concatenate([[w.sum(axis=1) @ beta0], w_z @ phi,
+                               [w_z @ ((a + half_i) / (b + S / 2.0))]])
+
+    @pytest.mark.parametrize("spec, beta0", [
+        (ModelSpec("cg", link="logit"), -5.0),
+        (ModelSpec("cg", link="cloglog"), -5.0),
+        (ModelSpec("is"), 0.0),
+    ], ids=["cg-logit", "cg-cloglog", "is"])
+    def test_chain_means_match_the_exact_posterior(self, spec, beta0):
+        graph = AdjacencyGraph(["a", "b", "c"], [(0, 1), (1, 2)])
+        data = Dataset(graph.region_ids, self.Y, self.N, np.ones((3, 1)))
+        exact = self.exact_means(spec, np.linspace(beta0 - 2.5, beta0 + 2.5, 161))
+        s = run_chain(data, graph, spec, SamplerConfig(
+            n_iterations=60_000, burn_in=5_000, thin=1, seed=1))
+        draws = np.column_stack([s.beta[:, 0], s.phi, s.tau])
+        z = (draws.mean(axis=0) - exact) / batch_means_mcse(draws)
+        assert np.all(np.abs(z) < 4.0), z
 
 
 class TestCalibration:
