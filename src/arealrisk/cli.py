@@ -37,8 +37,8 @@ from .metrics import (
 from .model import (
     LINKS,
     ModelSpec,
-    _fmt,
     _read_csv,
+    _write_csv,
     _write_json,
     load_dataset,
 )
@@ -227,13 +227,6 @@ def _load_populations(path, graph) -> np.ndarray:
     return np.array([values[r] for r in graph.region_ids])
 
 
-def _write_adjacency_csv(graph, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("from,to\n")
-        for i, j in graph.edges:
-            fh.write(f"{graph.region_ids[i]},{graph.region_ids[j]}\n")
-
-
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     if args.adjacency and not args.populations:
@@ -247,17 +240,13 @@ def cmd_simulate(args) -> int:
     dataset = simulate_counts(truth, seed=derive_seed(seed, "replicate", 0))
 
     out = _out_dir(args)
-    with open(out / "dataset.csv", "w", newline="") as fh:
-        fh.write("region,y,n\n")
-        for r, y, n in zip(dataset.region_ids, dataset.y, dataset.n):
-            fh.write(f"{r},{int(y)},{_fmt(n)}\n")
-    with open(out / "truth.csv", "w", newline="") as fh:
-        fh.write("region,n,p_true,r_true\n")
-        for i, r in enumerate(truth.region_ids):
-            fh.write(f"{r},{_fmt(truth.populations[i])},"
-                     f"{_fmt(truth.p_true[i])},{_fmt(truth.r_true[i])}\n")
+    _write_csv(out / "dataset.csv", ["region", "y", "n"],
+               [[dataset.region_ids, dataset.y, dataset.n]])
+    _write_csv(out / "truth.csv", ["region", "n", "p_true", "r_true"],
+               [[truth.region_ids, truth.populations, truth.p_true, truth.r_true]])
     if not args.adjacency:
-        _write_adjacency_csv(graph, out / "adjacency.csv")
+        ends = [[graph.region_ids[i] for i in end] for end in graph.edges.T.tolist()]
+        _write_csv(out / "adjacency.csv", ["from", "to"], [ends])
     return 0
 
 
@@ -431,15 +420,8 @@ def cmd_forecast(args) -> int:
     graph = load_adjacency(args.adjacency, region_ids=panel.region_ids)
     panel = panel.reindex(graph.region_ids)
 
-    holdout = args.holdout
     labels = [str(t) for t in panel.times]
-    if holdout is None:
-        holdout = labels[-1]
-    if holdout not in labels:
-        raise CommandError(f"holdout label {holdout!r} not in data years {labels}")
-    if holdout != labels[-1]:
-        raise CommandError("only the final time point can be held out")
-    t_hold = len(labels) - 1
+    t_hold = len(labels) - 1  # the last year is held out
     fit_panel = panel.time_prefix(t_hold)
     last_fitted = fit_panel.time_slice(t_hold - 1)
     observed = observed_raw_risks(panel, t_hold)
@@ -455,7 +437,7 @@ def cmd_forecast(args) -> int:
                                        _spec_from_args(args, family, temporal), config)
     samples = _run_chains(tasks)
     report = {
-        "holdout": holdout,
+        "holdout": labels[t_hold],
         "last_fitted_year": labels[t_hold - 1],
         "level": args.level,
         "estimators": {},
@@ -526,7 +508,12 @@ def _read_summary(path):
         if not np.isfinite(row["length"]):
             raise CommandError(f"{path}, line {line}: length must be finite, "
                                f"got {row['length']}")
-        rows[(row["region"], row.get("time", ""), row["estimator"])] = row
+        key = (row["region"], row.get("time", ""), row["estimator"])
+        if key in rows:
+            at = f", time {key[1]!r}" if "time" in header else ""
+            raise CommandError(f"{path}, line {line}: repeated row for region "
+                               f"{key[0]!r}{at}, estimator {key[2]!r}")
+        rows[key] = row
     if not rows:
         raise CommandError(f"{path}: empty summary file")
     return rows
@@ -625,7 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.add_argument("--family", choices=["is", "cg", "both"], default="both")
     p_fc.add_argument("--link", choices=LINKS, default="logit")
     p_fc.add_argument("--c0", type=float, default=None)
-    p_fc.add_argument("--holdout", default=None, help="held-out year label")
     p_fc.add_argument("--level", type=float, default=0.90,
                       help="credible-interval level")
     _add_sampler_flags(p_fc)

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .model import Dataset, _eta, apply_link, internal_standardization
+from .model import Dataset, _eta, _write_csv, apply_link, internal_standardization
 from .sampler import PosteriorSamples
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "risk_is",
     "risk_cg_tilde",
     "risk_cg_true",
-    "incidence_draws",
     "summarize",
     "write_summary_csv",
     "write_geojson_properties",
@@ -54,23 +53,17 @@ class RiskSummary:
         return self.upper - self.lower
 
 
-def _slice_eta(samples: PosteriorSamples, dataset: Dataset, t: int | None):
-    """Linear-predictor draws (D, I) at slice ``t``; static data is one slice."""
-    if not dataset.is_dynamic:
-        return _eta(samples.beta @ dataset.x.T, samples.phi)
-    if t is None:
-        raise ValueError("panel dataset requires a time index")
-    return _eta(samples.beta @ dataset.x[:, t, :].T, samples.phi,
-                samples.alpha[:, t, None])
+def _at_slice(samples: PosteriorSamples, dataset: Dataset, t: int | None):
+    """Linear-predictor draws (D, I) at slice ``t``, with that slice's n and E.
 
-
-def incidence_draws(samples: PosteriorSamples, dataset: Dataset,
-                    t: int | None = None) -> np.ndarray:
-    """Per-draw incidence probabilities p from a CG fit, (draws, regions)."""
-    if samples.spec.family != "cg":
-        raise TypeError("incidence draws require a CG-family fit")
-    return apply_link(samples.spec.link, _slice_eta(samples, dataset, t),
-                      samples.spec.c0)
+    E is ``internal_standardization(dataset)``; static data is one slice.
+    """
+    x, n, E, alpha = dataset.x, dataset.n, internal_standardization(dataset), None
+    if dataset.is_dynamic:
+        if t is None:
+            raise ValueError("panel dataset requires a time index")
+        x, n, E, alpha = x[:, t, :], n[:, t], E[:, t], samples.alpha[:, t, None]
+    return _eta(samples.beta @ x.T, samples.phi, alpha), n, E
 
 
 def risk_is(samples: PosteriorSamples, dataset: Dataset,
@@ -78,7 +71,7 @@ def risk_is(samples: PosteriorSamples, dataset: Dataset,
     """Relative-risk draws exp(x'beta + phi (+ alpha_t)) from an IS fit."""
     if samples.spec.family != "is":
         raise TypeError("risk_is requires an IS-family fit")
-    return np.exp(_slice_eta(samples, dataset, t))
+    return np.exp(_at_slice(samples, dataset, t)[0])
 
 
 def risk_cg_tilde(samples: PosteriorSamples, dataset: Dataset,
@@ -87,7 +80,9 @@ def risk_cg_tilde(samples: PosteriorSamples, dataset: Dataset,
 
     E is ``internal_standardization(dataset)``, at slice ``t`` for a panel.
     """
-    return _cg_tilde(incidence_draws(samples, dataset, t), dataset, t)
+    if samples.spec.family != "cg":
+        raise TypeError("risk_cg_tilde requires a CG-family fit")
+    return _risk_draws(samples, dataset, t)["r_cg_tilde"]
 
 
 def risk_cg_true(samples: PosteriorSamples, dataset: Dataset,
@@ -97,21 +92,9 @@ def risk_cg_true(samples: PosteriorSamples, dataset: Dataset,
     pbar = sum_i n_i p_i / sum_i n_i, so every draw satisfies
     sum_i n_i r_i = sum_i n_i exactly.
     """
-    return _cg_true(incidence_draws(samples, dataset, t), dataset, t)
-
-
-def _cg_tilde(p, dataset: Dataset, t):
-    n, E = dataset.n, internal_standardization(dataset)
-    if dataset.is_dynamic:
-        n, E = n[:, t], E[:, t]
-    return p * (n / E)[None, :]
-
-
-def _cg_true(p, dataset: Dataset, t):
-    n_t = dataset.n[:, t] if dataset.is_dynamic else dataset.n
-    # einsum, not BLAS gemv, whose rounding depends on the number of BLAS threads
-    pbar = np.einsum("di,i->d", p, n_t) / n_t.sum()
-    return p / pbar[:, None]
+    if samples.spec.family != "cg":
+        raise TypeError("risk_cg_true requires a CG-family fit")
+    return _risk_draws(samples, dataset, t)["r_cg"]
 
 
 def _risk_draws(samples: PosteriorSamples, dataset: Dataset,
@@ -120,12 +103,15 @@ def _risk_draws(samples: PosteriorSamples, dataset: Dataset,
 
     An IS fit gives ``r_is``; a CG fit gives ``r_cg_tilde`` (against the
     internally standardized expected counts) and ``r_cg``, both from one
-    matrix of incidence draws.
+    matrix of incidence draws p.
     """
     if samples.spec.family == "is":
         return {"r_is": risk_is(samples, dataset, t)}
-    p = incidence_draws(samples, dataset, t)
-    return {"r_cg_tilde": _cg_tilde(p, dataset, t), "r_cg": _cg_true(p, dataset, t)}
+    eta, n, E = _at_slice(samples, dataset, t)
+    p = apply_link(samples.spec.link, eta, samples.spec.c0)
+    # einsum, not BLAS gemv, whose rounding depends on the number of BLAS threads
+    pbar = np.einsum("di,i->d", p, n) / n.sum()
+    return {"r_cg_tilde": p * (n / E)[None, :], "r_cg": p / pbar[:, None]}
 
 
 def _check_level(level: float) -> None:
@@ -186,19 +172,11 @@ def write_summary_csv(summaries, path) -> None:
     if len(levels) != 1:
         raise ValueError(f"summaries must share one level, got {sorted(levels)}")
     with_time = any(s.time is not None for s in summaries)
-    cols = (["region"] + (["time"] if with_time else [])
-            + ["estimator", *_field_names(levels.pop())])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for s in summaries:
-            lead = [s.estimator]
-            if with_time:
-                lead.insert(0, "" if s.time is None else str(s.time))
-            # one template per summary; %r of a float is _fmt
-            row = ("%s," + ",".join(lead).replace("%", "%%")
-                   + ",%r" * len(_FIELDS) + "\n")
-            columns = [getattr(s, attr).tolist() for attr in _FIELDS]
-            fh.writelines([row % values for values in zip(s.region_ids, *columns)])
+    header = (["region"] + (["time"] if with_time else [])
+              + ["estimator", *_field_names(levels.pop())])
+    _write_csv(path, header, (
+        [s.region_ids, *(["" if s.time is None else str(s.time)] if with_time else []),
+         s.estimator, *(getattr(s, attr) for attr in _FIELDS)] for s in summaries))
 
 
 # the texts json gives the floats that repr writes otherwise

@@ -35,7 +35,6 @@ class ForecastEvaluation:
     lower: np.ndarray
     upper: np.ndarray
     observed: np.ndarray
-    crps_per_region: np.ndarray
     pmse: float
     crps: float
     coverage: float
@@ -120,7 +119,6 @@ def evaluate_holdout(predicted, observed, level: float = 0.90,
         lower=s.lower,
         upper=s.upper,
         observed=observed,
-        crps_per_region=crps,
         pmse=float(np.mean((s.mean - observed) ** 2)),
         crps=float(crps.mean()),
         coverage=float(covered.mean()),

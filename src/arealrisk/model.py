@@ -302,11 +302,6 @@ def log_likelihood_is(dataset: Dataset, E, beta, phi, alpha=None) -> float:
     return _log_likelihood(dataset, ModelSpec("is"), np.log(E), beta, phi, alpha)
 
 
-def _fmt(v) -> str:
-    """A float as written in every artifact: its shortest round-trip repr."""
-    return repr(float(v))
-
-
 def _write_json(obj, fh) -> None:
     """Write ``obj`` to an open text stream the way every JSON artifact holds it.
 
@@ -315,6 +310,27 @@ def _write_json(obj, fh) -> None:
     """
     json.dump(obj, fh, indent=2, sort_keys=True)
     fh.write("\n")
+
+
+def _write_csv(path, header, blocks) -> None:
+    """Write a CSV artifact: the ``header`` names, then each block's rows.
+
+    A block is a list of columns. A str column is one value for every row; any
+    other is a sequence of one value per row (an array is read via ``tolist``).
+    Each block's rows go through one ``%`` template, where a float column is
+    ``%r``, its shortest round-trip repr, and every other column ``%s``.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            columns = [c for c in block if not isinstance(c, str)]
+            if not len(columns[0]):
+                continue
+            row = ",".join(c.replace("%", "%%") if isinstance(c, str)
+                           else "%r" if isinstance(c[0], float) else "%s"
+                           for c in block) + "\n"
+            fh.writelines([row % values for values in zip(*columns)])
 
 
 def _read_csv(path):

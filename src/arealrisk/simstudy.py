@@ -19,7 +19,7 @@ import numpy as np
 from .estimators import _risk_draws, summarize
 from .graph import AdjacencyGraph
 from .metrics import observed_raw_risks
-from .model import Dataset, _fmt
+from .model import Dataset, _write_csv
 from .sampler import SamplerConfig, _fork_map, run_chain
 from .seeding import derive_rng, derive_seed
 
@@ -387,13 +387,8 @@ def write_matrix_csv(result: StudyResult, which: str, path) -> None:
     ids = result.truth.region_ids
     failed = {b for b, _ in result.failures}
     kept = [b for b in range(result.design["B_requested"]) if b not in failed]
-    with open(path, "w", newline="") as fh:
-        fh.write("replicate,region,estimator,value\n")
-        for tag, batch in result.batches.items():
-            mat = getattr(batch, which)
-            if mat is None:
-                continue
-            for b, row in zip(kept, mat):
-                for region, v in zip(ids, row):
-                    val = str(int(v)) if which == "coverage" else _fmt(v)
-                    fh.write(f"{b},{region},{tag},{val}\n")
+    replicates = [b for b in kept for _ in ids]
+    mats = {tag: getattr(batch, which) for tag, batch in result.batches.items()}
+    _write_csv(path, ["replicate", "region", "estimator", "value"],
+               [[replicates, ids * len(kept), tag, mat.ravel()]
+                for tag, mat in mats.items() if mat is not None])

@@ -30,10 +30,16 @@ from arealrisk.graph import car_pairwise_sum
 values = [car_pairwise_sum(g, rng.normal(size=g.n_regions)) for _ in range(8)]
 """,
     "risk_cg_true": """\
-from arealrisk.estimators import _cg_true
-from arealrisk.model import Dataset
+from arealrisk.estimators import risk_cg_true
+from arealrisk.model import Dataset, ModelSpec
+from arealrisk.sampler import PosteriorSamples, SamplerConfig
 data = Dataset(g.region_ids, np.ones(g.n_regions), n, np.ones((g.n_regions, 1)))
-values = _cg_true(rng.uniform(1e-3, 2e-3, (100, g.n_regions)), data, None)[:, 0]
+p = rng.uniform(1e-3, 2e-3, (100, g.n_regions))
+samples = PosteriorSamples(
+    ModelSpec("cg"), SamplerConfig(), g.region_ids, None, beta=np.zeros((100, 1)),
+    phi=np.log(p / (1.0 - p)), tau=np.ones(100), alpha=None, rho=None, omega=None,
+    acceptance={}, proposal_scales={}, n_nonfinite_events=0)
+values = risk_cg_true(samples, data)[:, 0]
 """,
     "crps_empirical": """\
 from arealrisk.metrics import crps_empirical

@@ -277,14 +277,6 @@ class TestForecast:
         assert "pct_dynamic_shorter" in entry["intervals_last_fitted_year"]
         assert {"pmse", "crps", "coverage"} <= set(entry["prediction"])
 
-    def test_bad_holdout_label(self, panel_file, tmp_path, capsys):
-        rc = run_cli("forecast", "--data", panel_file / "panel.csv",
-                     "--adjacency", panel_file / "adjacency.csv",
-                     "--holdout", "2001", *FAST, "--out", tmp_path)
-        assert rc != 0
-        err = json.loads(capsys.readouterr().err)
-        assert "2001" in err["message"]
-
     def test_static_data_rejected(self, lattice_files, tmp_path, capsys):
         rc = run_cli("forecast", "--data", lattice_files / "dataset.csv",
                      "--adjacency", lattice_files / "adjacency.csv",
@@ -824,6 +816,19 @@ class TestCompareInputErrors:
         assert json.loads(capsys.readouterr().err) == {
             "error": "CommandError",
             "message": f"{summary}, line 3: length must be finite, got {value}"}
+        assert not (tmp_path / "cmp" / "comparison.json").exists()
+
+    @pytest.mark.parametrize("text, where", [
+        ("region,estimator,length\nr0,r_cg,0.5\nr1,r_cg,0.4\nr0,r_cg,99.0\n", ""),
+        ("region,time,estimator,length\nr0,1990,r_cg,0.5\nr0,1991,r_cg,0.4\n"
+         "r0,1990,r_cg,99.0\n", ", time '1990'"),
+    ], ids=["static", "panel"])
+    def test_repeated_row(self, tmp_path, capsys, text, where):
+        summary = self.compare(tmp_path, text)
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CommandError",
+            "message": f"{summary}, line 4: repeated row for region 'r0'{where}, "
+                       "estimator 'r_cg'"}
         assert not (tmp_path / "cmp" / "comparison.json").exists()
 
 

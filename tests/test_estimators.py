@@ -10,7 +10,6 @@ from arealrisk.estimators import (
     RiskSummary,
     _field_names,
     _risk_draws,
-    incidence_draws,
     risk_cg_tilde,
     risk_cg_true,
     risk_is,
@@ -18,7 +17,7 @@ from arealrisk.estimators import (
     write_geojson_properties,
     write_summary_csv,
 )
-from arealrisk.model import Dataset, ModelSpec, internal_standardization
+from arealrisk.model import Dataset, ModelSpec, apply_link, internal_standardization
 from arealrisk.sampler import PosteriorSamples, SamplerConfig
 
 
@@ -118,7 +117,7 @@ class TestRiskCgTilde:
         d = small_dataset()
         phi = rng.normal(size=(200, 2))
         s = make_samples(ModelSpec("cg"), np.zeros((200, 1)), phi, ["A", "B"])
-        p = incidence_draws(s, d)
+        p = apply_link("logit", s.beta @ d.x.T + s.phi)
         r = risk_cg_tilde(s, d)
         for i in range(2):
             corr = np.corrcoef(p[:, i], r[:, i])[0, 1]
@@ -307,8 +306,8 @@ class TestWriters:
         assert "exceedance" in props["B"]["r_cg"]
 
 
-# the writers' loop references: json.dump of the nested dict, and one _fmt per
-# value; the writers format whole columns and must give the same bytes
+# the writers' loop references: json.dump of the nested dict, and one repr per
+# float; the writers format whole columns and must give the same bytes
 
 
 def reference_geojson(summaries) -> str:

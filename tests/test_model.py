@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, log_expit
 from scipy.stats import poisson
 
-from arealrisk.estimators import _slice_eta
+from arealrisk.estimators import _at_slice
 from arealrisk.model import (
     _ETA_MAX,
     Dataset,
@@ -20,6 +21,7 @@ from arealrisk.model import (
     _log_factorial_sum,
     _log_link,
     _poisson_terms,
+    _write_csv,
     apply_link,
     internal_standardization,
     load_dataset,
@@ -375,12 +377,82 @@ class TestLinearPredictor:
         s = make_samples(ModelSpec("is", temporal=temporal), beta, phi, ids,
                          alpha=alpha, times=d.times)
         for t in range(T) if panel else [None]:
-            batch = _slice_eta(s, d, t)
+            batch = _at_slice(s, d, t)[0]
             for row in range(D):
                 one = _eta(d.x @ beta[row], phi[row],
                            None if alpha is None else alpha[row])
                 np.testing.assert_allclose(batch[row], one if t is None else one[:, t],
                                            rtol=1e-14, atol=1e-14)
+
+
+# the functions that may call .write or .writelines: the CSV writer, the draws
+# writer and its row loop, the geojson writer, the JSON writer, and main's
+# stderr line
+WRITERS = {"_write_csv", "write_draws_csv", "_write_draw_rows",
+           "write_geojson_properties", "_write_json"}
+
+
+def stray_writes(source: str, name: str) -> list:
+    """Calls to ``.write``/``.writelines`` outside the functions allowed to write."""
+    stray = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef) and owner is None:
+            owner = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("write", "writelines")
+                and owner not in WRITERS
+                and not (owner == "main"
+                         and ast.unparse(node.func.value) == "sys.stderr")):
+            stray.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return stray
+
+
+class TestWriteCsv:
+    def test_floats_are_repr_and_the_rest_str(self, tmp_path):
+        ids = ["a%s", "b%%", "c", "d%", "e", "f"]
+        ks = [0, -1, 2**62, 3, 4, 5]
+        vs = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1]
+        path = tmp_path / "t.csv"
+        _write_csv(path, ["id", "tag", "k", "v"],
+                   [[ids, "t%d", np.array(ks), np.array(vs)]])
+        assert path.read_text() == "id,tag,k,v\n" + "".join(
+            f"{i},t%d,{str(k)},{repr(v)}\n" for i, k, v in zip(ids, ks, vs))
+        assert [line.rsplit(",", 1)[1] for line in path.read_text().split()[1:]] == [
+            "nan", "inf", "-inf", "-0.0", "5e-324", "0.1"]
+
+    def test_one_template_per_block(self, tmp_path):
+        # the same column holds floats in one block and ints in the next; a
+        # block without rows writes nothing
+        path = tmp_path / "t.csv"
+        _write_csv(path, ["region", "value"],
+                   [[("r%1", "r2"), [0.5, 1e16]], [(), "x", []],
+                    [("r%1",), np.array([3], dtype=np.int8)]])
+        assert path.read_text() == ("region,value\n"
+                                    f"r%1,{repr(0.5)}\nr2,{repr(1e16)}\nr%1,3\n")
+
+    def test_header_only(self, tmp_path):
+        _write_csv(tmp_path / "t.csv", ["a", "b"], [])
+        assert (tmp_path / "t.csv").read_text() == "a,b\n"
+
+    def test_only_the_writers_write(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "arealrisk"
+        stray = [line for path in sorted(src.glob("*.py"))
+                 for line in stray_writes(path.read_text(), path.name)]
+        assert stray == []
+
+    def test_a_stray_writer_is_found(self):
+        source = ("def cmd_x(fh, rows):\n"
+                  "    for a, b in rows:\n"
+                  "        fh.write(f'{a},{b}\\n')\n"
+                  "def main():\n"
+                  "    sys.stdout.write('\\n')\n")
+        assert stray_writes(source, "x.py") == ["x.py:3: fh.write(f'{a},{b}\\n')",
+                                                "x.py:5: sys.stdout.write('\\n')"]
 
 
 class TestLoader:

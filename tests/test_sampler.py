@@ -542,9 +542,9 @@ class TestRunChain:
         cfg = SamplerConfig(n_iterations=6_000, burn_in=2_000, thin=2, seed=5,
                             adapt_window=200)
         s = run_chain(data, side_graph, ModelSpec("cg"), cfg)
-        from arealrisk.estimators import incidence_draws
+        from arealrisk.model import apply_link
 
-        p = incidence_draws(s, data)
+        p = apply_link("logit", s.beta @ data.x.T + s.phi)
         pooled = p @ n / n.sum()
         lo, hi = np.quantile(pooled, [0.05, 0.95])
         assert lo <= truth_p <= hi
@@ -1052,7 +1052,7 @@ def hand_samples(n_draws, region_ids, times=None, seed=0):
 
 
 def reference_draws_csv(samples) -> str:
-    """The serial loop: every draw's parameters stacked, one _fmt per value."""
+    """The serial loop: every draw's parameters stacked, one repr per value."""
     labels = {"beta": range(samples.beta.shape[1]), "phi": samples.region_ids,
               "alpha": samples.times}
     cols, heads = [], []
