@@ -37,9 +37,12 @@ from .metrics import (
 from .model import (
     LINKS,
     ModelSpec,
+    _check_fields,
+    _check_population,
     _read_csv,
     _write_csv,
     _write_json,
+    internal_standardization,
     load_dataset,
 )
 from .sampler import (
@@ -152,6 +155,7 @@ def cmd_fit(args) -> int:
     _check_level(args.level)
     _check_draws(_sampler_config(args, seed))
     dataset = load_dataset(args.data)
+    internal_standardization(dataset)  # every family's summaries need E
     graph = load_adjacency(args.adjacency, region_ids=dataset.region_ids)
     temporal = "dynamic_ar1" if dataset.is_dynamic else "static"
     spec = _spec_from_args(args, args.family, temporal)
@@ -203,24 +207,17 @@ def _graph_and_populations(adjacency, lattice, path, scale, seed, bounds):
 
 
 def _load_populations(path, graph) -> np.ndarray:
-    header, rows = _read_csv(path)
+    header, lines = _read_csv(path, CommandError)
     if [c.lower() for c in header[:2]] != ["region", "n"]:
         raise CommandError(f"{path}: populations header must be region,n")
     values = {}
-    for line, row in rows:
-        where = f"{path}, line {line}"
-        if len(row) < 2:
-            raise CommandError(f"{where}: expected region,n; got {row!r}")
-        region = row[0]
-        if region in values:
-            raise CommandError(f"{where}: repeated region {region!r}")
-        try:
-            values[region] = float(row[1])
-        except ValueError as exc:
-            raise CommandError(f"{where}: {exc}") from None
-        if not 0.0 < values[region] < np.inf:
-            raise CommandError(f"{where}: population must be positive and "
-                               f"finite, got {values[region]}")
+    with lines as rows:
+        for row in rows:
+            if len(row) < 2:
+                raise ValueError(f"expected region,n; got {row!r}")
+            if row[0] in values:
+                raise ValueError(f"repeated region {row[0]!r}")
+            values[row[0]] = _check_population(float(row[1]))
     missing = [r for r in graph.region_ids if r not in values]
     if missing:
         raise CommandError(f"{path}: missing populations for {missing[:5]}")
@@ -491,29 +488,24 @@ def cmd_forecast(args) -> int:
 
 
 def _read_summary(path):
-    header, lines = _read_csv(path)
+    header, lines = _read_csv(path, CommandError)
     missing = [c for c in ("region", "estimator", "length") if c not in header]
     if missing:
         raise CommandError(f"{path}: summary header lacks {', '.join(missing)}")
     rows = {}
-    for line, cells in lines:
-        if len(cells) != len(header):
-            raise CommandError(f"{path}, line {line}: row has {len(cells)} "
-                               f"fields, expected {len(header)}")
-        row = dict(zip(header, cells))
-        try:
+    with lines as records:
+        for cells in records:
+            _check_fields(cells, header)
+            row = dict(zip(header, cells))
             row["length"] = float(row["length"])
-        except ValueError as exc:
-            raise CommandError(f"{path}, line {line}: {exc}") from None
-        if not np.isfinite(row["length"]):
-            raise CommandError(f"{path}, line {line}: length must be finite, "
-                               f"got {row['length']}")
-        key = (row["region"], row.get("time", ""), row["estimator"])
-        if key in rows:
-            at = f", time {key[1]!r}" if "time" in header else ""
-            raise CommandError(f"{path}, line {line}: repeated row for region "
-                               f"{key[0]!r}{at}, estimator {key[2]!r}")
-        rows[key] = row
+            if not np.isfinite(row["length"]):
+                raise ValueError(f"length must be finite, got {row['length']}")
+            key = (row["region"], row.get("time", ""), row["estimator"])
+            if key in rows:
+                at = f", time {key[1]!r}" if "time" in header else ""
+                raise ValueError(f"repeated row for region {key[0]!r}{at}, "
+                                 f"estimator {key[2]!r}")
+            rows[key] = row
     if not rows:
         raise CommandError(f"{path}: empty summary file")
     return rows

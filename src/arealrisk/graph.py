@@ -171,42 +171,40 @@ def car_log_kernel(graph: AdjacencyGraph, phi: np.ndarray, tau: float) -> float:
     )
 
 
-def _parse_edge_list(path, rows):
+def _parse_edge_list(lines):
     named = []  # every region the file names, in file order
     ends = []  # both ends of every edge, edge after edge
-    for line, row in rows:
-        if len(row) < 2 or row[1] == "":
-            # a row naming only one region declares it without neighbors
-            named.append(row[0])
-            continue
-        a, b = row[0], row[1]
-        if a == "":
-            raise GraphStructureError(f"{path}, line {line}: incomplete edge row {row}")
-        named += (a, b)
-        ends += (a, b)
+    with lines as rows:
+        for row in rows:
+            if len(row) < 2 or row[1] == "":
+                # a row naming only one region declares it without neighbors
+                named.append(row[0])
+                continue
+            a, b = row[0], row[1]
+            if a == "":
+                raise ValueError(f"incomplete edge row {row}")
+            named += (a, b)
+            ends += (a, b)
     return list(dict.fromkeys(named)), ends
 
 
-def _parse_matrix(path, header, rows):
-    rows = list(rows)
+def _parse_matrix(path, header, lines):
     ids = header[1:]
     n = len(ids)
-    for line, row in rows:
-        if len(row) != n + 1:
-            raise GraphStructureError(
-                f"{path}, line {line}: expected {n + 1} columns, got {len(row)}"
-            )
-        bad = [cell for cell in row[1:] if cell not in ("0", "1")]
-        if bad:
-            raise GraphStructureError(
-                f"{path}, line {line}: adjacency entries must be 0 or 1, "
-                f"got {bad[0]!r}"
-            )
-    if [row[0] for _, row in rows] != ids:
+    matrix = []
+    with lines as rows:
+        for row in rows:
+            if len(row) != n + 1:
+                raise ValueError(f"expected {n + 1} columns, got {len(row)}")
+            bad = [cell for cell in row[1:] if cell not in ("0", "1")]
+            if bad:
+                raise ValueError(f"adjacency entries must be 0 or 1, got {bad[0]!r}")
+            matrix.append(row)
+    if [row[0] for row in matrix] != ids:
         raise GraphStructureError(
             f"{path}: matrix row labels do not match the header region ids"
         )
-    mat = np.array([row[1:] for _, row in rows], dtype=np.int64).reshape(n, n)
+    mat = np.array([row[1:] for row in matrix], dtype=np.int64).reshape(n, n)
     if np.any(np.diag(mat) != 0):
         bad = ids[int(np.nonzero(np.diag(mat))[0][0])]
         raise GraphStructureError(f"{path}: self-loop at region {bad!r}")
@@ -228,14 +226,14 @@ def load_adjacency(path, region_ids=None) -> AdjacencyGraph:
     be symmetric. If ``region_ids`` is given, the file must name no other
     region, and every listed region must appear with at least one neighbor.
     """
-    header, rows = _read_csv(path)
+    header, lines = _read_csv(path, GraphStructureError)
     if not header:
         raise GraphStructureError(f"{path}: empty adjacency file")
     # either form gives the regions in file order and the edges' ends, flat
     if [c.lower() for c in header[:2]] == ["from", "to"]:
-        order, ends = _parse_edge_list(path, rows)
+        order, ends = _parse_edge_list(lines)
     else:
-        order, ends = _parse_matrix(path, header, rows)
+        order, ends = _parse_matrix(path, header, lines)
 
     if region_ids is not None:
         wanted = dict.fromkeys(map(str, region_ids))

@@ -17,6 +17,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -312,38 +314,73 @@ def _write_json(obj, fh) -> None:
     fh.write("\n")
 
 
+# a text field holding one of these is quoted
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, as ``csv.QUOTE_MINIMAL`` writes it: quoted,
+    with inner quotes doubled, when it holds a comma, a quote or a line break."""
+    return '"%s"' % text.replace('"', '""') if _NEEDS_QUOTES.search(text) else text
+
+
 def _write_csv(path, header, blocks) -> None:
     """Write a CSV artifact: the ``header`` names, then each block's rows.
 
     A block is a list of columns. A str column is one value for every row; any
     other is a sequence of one value per row (an array is read via ``tolist``).
     Each block's rows go through one ``%`` template, where a float column is
-    ``%r``, its shortest round-trip repr, and every other column ``%s``.
+    ``%r``, its shortest round-trip repr, and every other column ``%s``. Text
+    goes through ``_csv_field``.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
             block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
             columns = [c for c in block if not isinstance(c, str)]
             if not len(columns[0]):
                 continue
-            row = ",".join(c.replace("%", "%%") if isinstance(c, str)
+            row = ",".join(_csv_field(c).replace("%", "%%") if isinstance(c, str)
                            else "%r" if isinstance(c[0], float) else "%s"
                            for c in block) + "\n"
+            columns = [list(map(_csv_field, c)) if isinstance(c[0], str) else c
+                       for c in columns]
             fh.writelines([row % values for values in zip(*columns)])
 
 
-def _read_csv(path):
-    """A CSV input's header and an iterator over its ``(line, cells)`` rows.
+def _read_csv(path, error=ValueError):
+    """A CSV input's stripped header and ``lines``, the one owner of its row errors.
 
-    Cells are stripped and a row whose cells are all blank is skipped. The
-    file is closed on return; an empty file has no header.
+    ``with lines as rows:`` gives each data row's stripped cells, skipping a row
+    whose cells are all blank. A ``ValueError`` raised inside the block is raised
+    again as ``error``, prefixed ``<path>, line <n>: `` for the row being read.
+    The file is closed on return; an empty file has no header.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh.readlines())
-    header = [c.strip() for c in next(reader, [])]
     stripped = ([c.strip() for c in row] for row in reader)
-    return header, ((reader.line_num, cells) for cells in stripped if any(cells))
+
+    @contextmanager
+    def lines():
+        try:
+            yield (cells for cells in stripped if any(cells))
+        except ValueError as exc:
+            raise error(f"{path}, line {reader.line_num}: {exc}") from None
+
+    return next(stripped, []), lines()
+
+
+def _check_fields(row, header) -> None:
+    """The field-count rule: a data row has one cell per header name."""
+    if len(row) != len(header):
+        raise ValueError(f"row has {len(row)} fields, expected {len(header)}")
+
+
+def _check_population(n: float) -> float:
+    """The population rule, ``0 < n < inf``; returns ``n``."""
+    if not 0.0 < n < np.inf:
+        raise ValueError(f"population must be positive and finite, got {n}")
+    return n
 
 
 def _coerce_time(value: str):
@@ -362,7 +399,7 @@ def load_dataset(path) -> Dataset:
     complete (every region at every time, each pair exactly once). An
     intercept column is prepended to any covariates found.
     """
-    header, rows = _read_csv(path)
+    header, lines = _read_csv(path)
     header = [c.lower() for c in header]
     has_year = "year" in header
     expected = ["region"] + (["year"] if has_year else []) + ["y", "n"]
@@ -375,39 +412,29 @@ def load_dataset(path) -> Dataset:
 
     cells = {}  # (region, year) -> its row in ys, ns and covs; year None if static
     ys, ns, covs = [], [], []
-    for line, row in rows:
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}, line {line}: row has {len(row)} fields, "
-                f"expected {len(header)}"
-            )
-        try:
+    with lines as rows:
+        for row in rows:
+            _check_fields(row, header)
             y = int(row[off])
             n = float(row[off + 1])
             xs = [float(v) for v in row[off + 2 :]]
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {line}: {exc}") from None
-        if y < 0:
-            raise ValueError(f"{path}, line {line}: count must be nonnegative, "
-                             f"got {y}")
-        if y >= 2**63:
-            raise ValueError(f"{path}, line {line}: count must be below 2**63 "
-                             f"(the int64 range), got {y}")
-        if not 0.0 < n < np.inf:
-            raise ValueError(f"{path}, line {line}: population must be positive "
-                             f"and finite, got {n}")
-        if not all(map(math.isfinite, xs)):
-            raise ValueError(f"{path}, line {line}: covariates must be finite, "
-                             f"got {xs}")
-        key = (row[0], _coerce_time(row[1]) if has_year else None)
-        if key in cells:
-            at = f", year {key[1]!r}" if has_year else ""
-            raise ValueError(f"{path}, line {line}: duplicate row for region "
-                             f"{key[0]!r}{at}")
-        cells[key] = len(ys)
-        ys.append(y)
-        ns.append(n)
-        covs += xs
+            if y < 0:
+                raise ValueError(f"count must be nonnegative, got {y}")
+            if y >= 2**63:
+                raise ValueError(f"count must be below 2**63 (the int64 range), got {y}")
+            _check_population(n)
+            if not all(map(math.isfinite, xs)):
+                raise ValueError(f"covariates must be finite, got {xs}")
+            key = (row[0], _coerce_time(row[1]) if has_year else None)
+            if key in cells:
+                at = f", year {key[1]!r}" if has_year else ""
+                raise ValueError(f"duplicate row for region {key[0]!r}{at}")
+            cells[key] = len(ys)
+            ys.append(y)
+            ns.append(n)
+            covs += xs
+    if not cells:
+        raise ValueError(f"{path}: no data rows")
 
     # a static file is a panel of one slice, squeezed at the end
     regions = list(dict.fromkeys(region for region, _ in cells))

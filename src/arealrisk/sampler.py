@@ -32,6 +32,7 @@ from .graph import AdjacencyGraph, car_pairwise_sum
 from .model import (
     Dataset,
     ModelSpec,
+    _csv_field,
     _eta,
     _poisson_terms,
     _write_json,
@@ -600,17 +601,18 @@ def write_draws_csv(samples: PosteriorSamples, path) -> None:
         draws = getattr(samples, name)
         if draws is not None:
             cols.append(draws if draws.ndim == 2 else draws[:, None])
-            heads += ([f",{name}[{i}]," for i in labels[name]] if name in labels
-                      else [f",{name},"])
+            heads += ([f"{name}[{i}]" for i in labels[name]] if name in labels
+                      else [name])
     # a draw's rows are str(draw).join(lead) % values; %r of a float is its
     # shortest round-trip repr
-    lead = ["", *(h.replace("%", "%%") + "%r\n" for h in heads)]
+    lead = ["", *("," + _csv_field(h).replace("%", "%%") + ",%r\n" for h in heads)]
     n_draws = samples.n_draws
     n_parts = max(1, min(_usable_cpus(), n_draws))
     parts = []
 
     def write_part(k):
-        with open(parts[k].fileno(), "w", newline="", closefd=False) as fh:
+        with open(parts[k].fileno(), "w", newline="", encoding="utf-8",
+                  closefd=False) as fh:
             _write_draw_rows(fh, cols, lead, n_draws * k // n_parts,
                              n_draws * (k + 1) // n_parts)
 
@@ -619,7 +621,7 @@ def write_draws_csv(samples: PosteriorSamples, path) -> None:
             for _ in range(n_parts):
                 parts.append(tempfile.TemporaryFile(dir=Path(path).parent))
             _fork_map(write_part, range(n_parts))
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("draw,parameter,value\n")
             if not parts:
                 _write_draw_rows(fh, cols, lead, 0, n_draws)

@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 import os
@@ -9,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arealrisk.cli import main
+from arealrisk.cli import _load_populations, main
+from arealrisk.graph import load_adjacency
+from arealrisk.model import load_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -30,6 +33,19 @@ def lattice_files(tmp_path_factory):
 
 FAST = ["--iterations", "700", "--burn-in", "300", "--thin", "2",
         "--adapt-window", "100"]
+
+
+def rename_regions(src, dst, names):
+    """Copy CSV ``src`` to ``dst`` with the cells in ``names`` renamed."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        rows = [[names.get(cell, cell) for cell in row] for row in csv.reader(fh)]
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
 
 
 class TestSimulate:
@@ -589,6 +605,36 @@ class TestLevelCheckedUpFront:
         self.assert_rejected(rc, capsys)
 
 
+class TestCountsCheckedUpFront:
+    """A fit whose expected counts degenerate fails before any chain is run."""
+
+    def fit(self, data, adjacency, out):
+        return run_cli("fit", "--data", data, "--adjacency", adjacency,
+                       "--family", "cg", "--link", "cloglog", *FAST, "--out", out)
+
+    def test_static(self, lattice_files, tmp_path, capsys, no_sampling):
+        lines = (lattice_files / "dataset.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        data = tmp_path / "zero.csv"
+        data.write_text("\n".join(lines[:1] + [f"{r},0,{n}" for r, _, n in rows]) + "\n")
+        assert self.fit(data, lattice_files / "adjacency.csv", tmp_path) != 0
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "all counts are zero; the pooled rate degenerates"}
+
+    def test_panel_year(self, panel_file, tmp_path, capsys, no_sampling):
+        lines = (panel_file / "panel.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        data = tmp_path / "zero_year.csv"
+        data.write_text("\n".join(lines[:1] + [
+            ",".join([r, year, "0" if year == "1992" else y, n])
+            for r, year, y, n in rows]) + "\n")
+        assert self.fit(data, panel_file / "adjacency.csv", tmp_path) != 0
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "all counts are zero at time 1992; the pooled rate degenerates"}
+
+
 class TestShortChainRejectedUpFront:
     """A chain that keeps fewer than MIN_DRAWS draws fails before any chain runs."""
 
@@ -776,6 +822,109 @@ class TestPopulationSources:
         assert json.loads(capsys.readouterr().err) == {
             "error": "CommandError",
             "message": f"{pops}, line 2: could not convert string to float: 'abc'"}
+
+
+class TestQuotedIds:
+    """Ids holding a comma or a quote are quoted in every CSV artifact."""
+
+    def test_fit_artifacts_parse_and_compare(self, lattice_files, tmp_path, capsys):
+        names = {"r0": "r,0", "r1": 'q"1'}
+        for name in ("dataset.csv", "adjacency.csv"):
+            rename_regions(lattice_files / name, tmp_path / name, names)
+        rc = run_cli("fit", "--data", tmp_path / "dataset.csv",
+                     "--adjacency", tmp_path / "adjacency.csv", "--family", "cg",
+                     *FAST, "--dump-draws", "--seed", 1, "--out", tmp_path / "fit")
+        assert rc == 0
+        summary, draws = (read_rows(tmp_path / "fit" / name)
+                          for name in ("summary.csv", "draws.csv"))
+        for rows in (summary, draws):
+            assert {len(row) for row in rows} == {len(rows[0])}
+        assert {row[0] for row in summary[1:]} >= {"r,0", 'q"1'}
+        assert {row[1] for row in draws[1:]} >= {"phi[r,0]", 'phi[q"1]'}
+        rc = run_cli("compare", "--left", tmp_path / "fit" / "summary.csv",
+                     "--right", tmp_path / "fit" / "summary.csv",
+                     "--right-estimator", "r_cg_tilde", "--out", tmp_path / "cmp")
+        assert rc == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
+        assert report["n_compared"] == 16
+
+
+class TestUtf8WhateverTheLocale:
+    """Inputs are read and CSV artifacts written as UTF-8 under any locale."""
+
+    def test_fit_under_an_ascii_locale(self, lattice_files, tmp_path):
+        for name in ("dataset.csv", "adjacency.csv"):
+            rename_regions(lattice_files / name, tmp_path / name, {"r0": "ré"})
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        argv = ["fit", "--data", tmp_path / "dataset.csv", "--adjacency",
+                tmp_path / "adjacency.csv", "--family", "cg", *FAST, "--dump-draws",
+                "--out", tmp_path / "fit"]
+        proc = subprocess.run([sys.executable, "-m", "arealrisk.cli", *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        summary = read_rows(tmp_path / "fit" / "summary.csv")
+        assert "ré" in {row[0] for row in summary}
+        assert "phi[ré]" in {row[1] for row in read_rows(tmp_path / "fit" / "draws.csv")}
+
+
+class TestByteOrderMark:
+    """A CSV saved with a UTF-8 byte-order mark reads as the same file without one."""
+
+    @staticmethod
+    def with_and_without(tmp_path, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        return plain, marked
+
+    def test_dataset(self, lattice_files, tmp_path):
+        text = (lattice_files / "dataset.csv").read_text()
+        a, b = map(load_dataset, self.with_and_without(tmp_path, text))
+        assert a.region_ids == b.region_ids
+        for name in ("y", "n", "x"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_edge_list(self, lattice_files, tmp_path):
+        text = (lattice_files / "adjacency.csv").read_text()
+        a, b = map(load_adjacency, self.with_and_without(tmp_path, text))
+        assert a.region_ids == b.region_ids
+        assert np.array_equal(a.edges, b.edges)
+
+    def test_populations(self, lattice_files, tmp_path):
+        graph = load_adjacency(lattice_files / "adjacency.csv")
+        text = "region,n\n" + "".join(f"{r},{1000 + i}\n"
+                                      for i, r in enumerate(graph.region_ids))
+        a, b = (_load_populations(path, graph)
+                for path in self.with_and_without(tmp_path, text))
+        assert np.array_equal(a, b)
+
+
+class TestHeaderOnlyDataset:
+    """A dataset with a header and no rows is named as empty, before any chain."""
+
+    @pytest.mark.parametrize("header", ["region,y,n", "region,year,y,n"])
+    def test_loader(self, tmp_path, header):
+        data = tmp_path / "data.csv"
+        data.write_text(header + "\n \n")
+        with pytest.raises(ValueError) as exc:
+            load_dataset(data)
+        assert str(exc.value) == f"{data}: no data rows"
+
+    @pytest.mark.parametrize("command, header", [("fit", "region,y,n"),
+                                                 ("forecast", "region,year,y,n")])
+    def test_cli(self, lattice_files, tmp_path, capsys, no_sampling, command,
+                 header):
+        data = tmp_path / "data.csv"
+        data.write_text(header + "\n")
+        family = ["--family", "cg"] if command == "fit" else []
+        rc = run_cli(command, "--data", data,
+                     "--adjacency", lattice_files / "adjacency.csv", *family, *FAST,
+                     "--out", tmp_path / "out")
+        assert rc != 0
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": f"{data}: no data rows"}
 
 
 class TestCompareInputErrors:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -325,6 +327,13 @@ def reference_geojson(summaries) -> str:
     return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 
+def csv_field(text: str) -> str:
+    """``text`` as the csv module writes one field, with ``csv.QUOTE_MINIMAL``."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text])
+    return buf.getvalue().removesuffix("\r\n")
+
+
 def reference_summary_csv(summaries) -> str:
     with_time = any(s.time is not None for s in summaries)
     head = (["region"] + (["time"] if with_time else [])
@@ -334,7 +343,7 @@ def reference_summary_csv(summaries) -> str:
         lead = ([] if not with_time else ["" if s.time is None else str(s.time)])
         for i, region in enumerate(s.region_ids):
             values = [repr(float(getattr(s, attr)[i])) for attr in _FIELDS]
-            lines.append(",".join([region, *lead, s.estimator, *values]))
+            lines.append(",".join([csv_field(region), *lead, s.estimator, *values]))
     return "\n".join(lines) + "\n"
 
 

@@ -21,6 +21,7 @@ from arealrisk.model import (
     _log_factorial_sum,
     _log_link,
     _poisson_terms,
+    _read_csv,
     _write_csv,
     apply_link,
     internal_standardization,
@@ -412,6 +413,29 @@ def stray_writes(source: str, name: str) -> list:
     return stray
 
 
+def row_error_owners(source: str, name: str) -> list:
+    """Functions other than ``_read_csv`` whose strings hold ``, line ``."""
+    owners = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef) and owner is None:
+            owner = node.name
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and ", line " in node.value and owner != "_read_csv"):
+            owners.append(f"{name}:{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return sorted(set(owners))
+
+
+# ids the reader gives back as written: not blank, nothing for strip() to take
+text_ids = st.text(st.one_of(st.sampled_from(',"\r\n% '),
+                             st.characters(blacklist_categories=("Cs",))),
+                   min_size=1).filter(lambda s: s == s.strip())
+
+
 class TestWriteCsv:
     def test_floats_are_repr_and_the_rest_str(self, tmp_path):
         ids = ["a%s", "b%%", "c", "d%", "e", "f"]
@@ -438,6 +462,31 @@ class TestWriteCsv:
     def test_header_only(self, tmp_path):
         _write_csv(tmp_path / "t.csv", ["a", "b"], [])
         assert (tmp_path / "t.csv").read_text() == "a,b\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(ids=st.lists(text_ids, min_size=1, max_size=4, unique=True))
+    def test_text_reads_back(self, tmp_path_factory, ids):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        _write_csv(path, ["region", "tag", "v"],
+                   [[ids, ids[0], [0.5] * len(ids)], [ids[-1:], ids[-1], [1]]])
+        header, lines = _read_csv(path)
+        with lines as rows:
+            assert header == ["region", "tag", "v"]
+            assert list(rows) == ([[r, ids[0], "0.5"] for r in ids]
+                                  + [[ids[-1], ids[-1], "1"]])
+
+    def test_only_the_reader_names_lines(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "arealrisk"
+        owners = [owner for path in sorted(src.glob("*.py"))
+                  for owner in row_error_owners(path.read_text(), path.name)]
+        assert owners == []
+
+    def test_a_line_named_outside_the_reader_is_found(self):
+        source = ("def _read_csv(path):\n"
+                  "    return f'{path}, line 1: '\n"
+                  "def load(path, line):\n"
+                  "    raise ValueError(f'{path}, line {line}: bad')\n")
+        assert row_error_owners(source, "x.py") == ["x.py:load"]
 
     def test_only_the_writers_write(self):
         src = Path(__file__).resolve().parents[1] / "src" / "arealrisk"

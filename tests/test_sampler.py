@@ -46,6 +46,7 @@ from arealrisk.sampler import (
     tau_posterior_params,
 )
 from arealrisk.simstudy import lattice_graph
+from tests.test_estimators import csv_field
 
 
 def small_graph():
@@ -1063,7 +1064,7 @@ def reference_draws_csv(samples) -> str:
                       else [name])
     rows = ["draw,parameter,value"]
     for d, row in enumerate(np.column_stack(cols)):
-        rows += [f"{d},{head},{float(v)!r}" for head, v in zip(heads, row)]
+        rows += [f"{d},{csv_field(head)},{float(v)!r}" for head, v in zip(heads, row)]
     return "\n".join(rows) + "\n"
 
 
