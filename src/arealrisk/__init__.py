@@ -9,7 +9,6 @@ replicate simulation studies comparing them.
 from .graph import (
     AdjacencyGraph,
     GraphStructureError,
-    car_log_kernel,
     car_pairwise_sum,
     load_adjacency,
 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import json
 import os
 import sys
@@ -187,8 +188,9 @@ def _floats(text: str) -> tuple:
 
 
 def _truth_recipe(baseline, hub_bumps, neighbor_bump, hubs) -> TruthRecipe:
-    """The truth recipe, with hub ids from a comma-separated list."""
-    hub_ids = tuple(h.strip() for h in (hubs or "").split(",") if h.strip())
+    """The truth recipe, with hub ids from one CSV row: quote an id holding a comma."""
+    cells = next(csv.reader([hubs or ""], skipinitialspace=True), [])
+    hub_ids = tuple(h.strip() for h in cells if h.strip())
     return TruthRecipe(baseline=baseline, hub_bumps=hub_bumps,
                        neighbor_bump=neighbor_bump, hubs=hub_ids or None)
 
@@ -576,7 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--neighbor-bump", dest="neighbor_bump", type=float,
                        default=0.0005)
     p_sim.add_argument("--hubs", default=None,
-                       help="comma-separated hub ids (default: most populated)")
+                       help="comma-separated hub ids, quoted as in CSV "
+                       "(default: most populated)")
     p_sim.add_argument("--population-scale", dest="population_scale", type=float,
                        default=1.0)
     _add_common_flags(p_sim)

@@ -1,4 +1,4 @@
-"""Adjacency structure over areal units and the CAR prior kernel.
+"""Adjacency structure over areal units and the CAR prior's pairwise sum.
 
 Regions are identified by string labels; adjacency is binary and symmetric
 with no self-loops. Every region must have at least one neighbor: the
@@ -22,7 +22,6 @@ __all__ = [
     "GraphStructureError",
     "load_adjacency",
     "car_pairwise_sum",
-    "car_log_kernel",
 ]
 
 
@@ -159,16 +158,6 @@ def car_pairwise_sum(graph: AdjacencyGraph, phi: np.ndarray) -> float:
         )
     d = phi.take(graph.edges[:, 0]) - phi.take(graph.edges[:, 1])
     return float(np.einsum("i,i->", d, d))
-
-
-def car_log_kernel(graph: AdjacencyGraph, phi: np.ndarray, tau: float) -> float:
-    """Log of the unnormalized CAR density: (I/2) log(tau) - (tau/2) S(phi)."""
-    tau = float(tau)
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return 0.5 * graph.n_regions * np.log(tau) - 0.5 * tau * car_pairwise_sum(
-        graph, phi
-    )
 
 
 def _parse_edge_list(lines):

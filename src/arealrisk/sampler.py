@@ -4,14 +4,14 @@ One sweep updates, in order: every spatial effect (univariate random-walk
 Metropolis, grouped by graph coloring so non-adjacent regions move
 together), the regression coefficients (componentwise random walk with a
 flat prior), the CAR precision (exact conjugate Gamma draw), and, for
-dynamic fits, each temporal effect, the AR(1) coefficient, and the
-innovation variance (exact inverse-gamma draw). The chain carries the
-per-cell likelihood terms of its current state, each block overwriting the
-terms it accepts, so a Metropolis block evaluates the likelihood only at its
-proposals: the spatial and temporal blocks in one kernel call each. No block
-sees the level of the spatial effects, which the CAR prior leaves free; each
-recorded draw is centered to sum to zero instead, with its mean folded into
-the intercept so the likelihood is untouched.
+dynamic fits, the temporal effects (coloured as the regions: even years,
+then odd), the AR(1) coefficient, and the innovation variance (exact
+inverse-gamma draw). The chain carries the per-cell likelihood terms of its
+current state, each block overwriting the terms it accepts, so a Metropolis
+block evaluates the likelihood only at its proposals: the spatial and
+temporal blocks in one kernel call each. No block sees the level of the
+spatial effects, which the CAR prior leaves free; each recorded draw is
+centered to sum to zero, its mean moved into the intercept: eta is unchanged.
 
 Proposal scales adapt during burn-in toward a target acceptance band and
 freeze afterwards, preserving detailed balance for the retained draws.
@@ -43,10 +43,7 @@ __all__ = [
     "SamplerConfig",
     "PosteriorSamples",
     "run_chain",
-    "ar1_log_prior",
     "tau_posterior_params",
-    "omega_posterior_params",
-    "adapt_scales",
     "write_draws_csv",
     "write_metadata_json",
 ]
@@ -179,6 +176,11 @@ class _FitContext:
             pos = np.arange(rows.size) + shift[rows]
             self.color_nbrs.append((rows, graph._indices[pos]))
         self.color_deg = [graph.degrees[idx].astype(float) for idx in self.colors]
+        if spec.is_dynamic:  # AR(1) links each year to the next: years even, then odd
+            path = np.eye(dataset.n_times, k=1) + np.eye(dataset.n_times, k=-1)
+            self.year_colors = [np.arange(t, dataset.n_times, 2) for t in (0, 1)]
+            self.year_nbrs = [path[idx] for idx in self.year_colors]  # rows of the path
+            self.year_inner = [w.sum(axis=1) - 1.0 for w in self.year_nbrs]  # 1 inside
 
     def neighbor_sums(self, k, phi):
         """Sum of ``phi`` over each neighbour of colour class ``k``'s regions.
@@ -203,7 +205,7 @@ def _ar1_sums(alpha, rho):
     return (1.0 - rho**2) * alpha[0] ** 2, float(resid @ resid)
 
 
-def ar1_log_prior(alpha, rho, omega) -> float:
+def _ar1_log_prior(alpha, rho, omega) -> float:
     """Log density of the AR(1) temporal effects given (rho, omega).
 
     The first effect gets the stationary N(0, omega/(1-rho^2)) distribution;
@@ -219,22 +221,6 @@ def ar1_log_prior(alpha, rho, omega) -> float:
     return float(out)
 
 
-def _ar1_conditional(alpha, t, value, rho, omega) -> float:
-    """The AR(1) prior terms of alpha_t's full conditional at alpha_t = ``value``.
-
-    The terms of the stationary-start AR(1) density that involve alpha_t:
-    its own transition (or stationary start, at t = 0) and the next one.
-    """
-    out = 0.0
-    if t == 0:
-        out -= (1.0 - rho**2) * value**2 / (2.0 * omega)
-    else:
-        out -= (value - rho * alpha[t - 1]) ** 2 / (2.0 * omega)
-    if t + 1 < len(alpha):
-        out -= (alpha[t + 1] - rho * value) ** 2 / (2.0 * omega)
-    return out
-
-
 def _phi_loglik_diffs(ctx, st, prop, xb, terms):
     """Per-region likelihood differences of phi moving to ``prop``, and its terms.
 
@@ -248,13 +234,16 @@ def _phi_loglik_diffs(ctx, st, prop, xb, terms):
     return prop_terms - terms, prop_terms
 
 
+def _gauss_markov_log_ratio(scale, weight, mean, cur, prop):
+    """Log ratio of ``cur`` moving to ``prop`` under N(mean, 1/(scale * weight))."""
+    return -0.5 * scale * weight * ((prop - mean) ** 2 - (cur - mean) ** 2)
+
+
 def _phi_log_ratio(ctx, st, k, prop, d_lik):
     """Log ratios of colour class ``k`` moving to ``prop``: CAR terms plus ``d_lik``."""
     idx, deg = ctx.colors[k], ctx.color_deg[k]
-    cur = st.phi[idx]
     nbr_mean = ctx.neighbor_sums(k, st.phi) / deg
-    d_prior = -0.5 * st.tau * deg * ((prop - nbr_mean) ** 2 - (cur - nbr_mean) ** 2)
-    return d_prior + d_lik
+    return _gauss_markov_log_ratio(st.tau, deg, nbr_mean, st.phi[idx], prop) + d_lik
 
 
 def _beta_log_ratio(ctx, st, prop, cur_ll):
@@ -281,16 +270,22 @@ def _alpha_loglik_diffs(ctx, st, prop, xb, terms):
             prop_terms)
 
 
-def _alpha_log_ratio(alpha, t, prop, rho, omega, d_lik):
-    """Log ratio of alpha_t moving to ``prop``: its AR(1) terms plus ``d_lik``."""
-    d_prior = (_ar1_conditional(alpha, t, prop, rho, omega)
-               - _ar1_conditional(alpha, t, alpha[t], rho, omega))
-    return d_prior + d_lik
+def _alpha_log_ratio(ctx, st, k, prop, d_lik):
+    """Log ratios of year class ``k`` moving to ``prop``: AR(1) terms plus ``d_lik``.
+
+    Given its neighbours, alpha_t has precision q_t/omega and mean
+    rho (alpha_{t-1} + alpha_{t+1}) / q_t, where q_t = 1 + rho^2 inside the
+    panel and 1 at either end, whose missing neighbour counts 0.
+    """
+    idx = ctx.year_colors[k]
+    q = 1.0 + st.rho**2 * ctx.year_inner[k]
+    mean = st.rho * (ctx.year_nbrs[k] @ st.alpha) / q
+    return _gauss_markov_log_ratio(1.0 / st.omega, q, mean, st.alpha[idx], prop) + d_lik
 
 
 def _rho_log_ratio(st, prop):
     """Log acceptance ratio of rho moving to ``prop`` (flat prior on (-1, 1))."""
-    return ar1_log_prior(st.alpha, prop, st.omega) - ar1_log_prior(
+    return _ar1_log_prior(st.alpha, prop, st.omega) - _ar1_log_prior(
         st.alpha, st.rho, st.omega
     )
 
@@ -302,7 +297,7 @@ def tau_posterior_params(graph: AdjacencyGraph, phi, a: float, b: float):
     return shape, rate
 
 
-def omega_posterior_params(alpha, rho: float):
+def _omega_posterior_params(alpha, rho: float):
     """(shape, scale) of the inverse-gamma full conditional of omega.
 
     Derived from the stationary-start AR(1) density and the omega^{-1}
@@ -312,7 +307,7 @@ def omega_posterior_params(alpha, rho: float):
     return 0.5 * len(alpha), 0.5 * (start + resid)
 
 
-def adapt_scales(scales, accepted, proposed, target):
+def _adapt_scales(scales, accepted, proposed, target):
     """Rescale proposal standard deviations from windowed acceptance rates.
 
     Below the band multiplies by 0.8; above it by 1.25; inside leaves the
@@ -381,29 +376,38 @@ class _ChainRunner:
         block.accepted[i] += accept
         return accept
 
-    def update_phi_block(self):
-        st, ctx, block = self.state, self.ctx, self.blocks["phi"]
+    def _update_field(self, name, classes, loglik_diffs, log_ratio):
+        """One coloured Gauss-Markov update of the field ``name`` (phi or alpha).
+
+        An entry's terms depend only on its own value, so one ``loglik_diffs``
+        call serves every class. Returns the accepted mask and the proposal's terms.
+        """
+        st, block = self.state, self.blocks[name]
+        cur = getattr(st, name)
         # class by class, its normals then its uniforms: this order fixes the draws
-        z, log_u = np.empty(st.phi.size), []
-        for idx in ctx.colors:
+        z, log_u = np.empty(cur.size), []
+        for idx in classes:
             z[idx] = self.rng.standard_normal(idx.size)
             log_u.append(np.log(self.rng.random(idx.size)))
-        prop = st.phi + block.scales * z
-        # each region is in one class and its terms depend only on its own phi,
-        # so the differences stay valid through the block
-        d_lik, prop_terms = _phi_loglik_diffs(ctx, st, prop, self.xb, self.terms)
-        moved = np.zeros(st.phi.size, dtype=bool)
-        for k, idx in enumerate(ctx.colors):
-            cur, prop_k = st.phi[idx], prop[idx]
-            delta = _phi_log_ratio(ctx, st, k, prop_k, d_lik[idx])
+        prop = cur + block.scales * z
+        d_lik, prop_terms = loglik_diffs(self.ctx, st, prop, self.xb, self.terms)
+        moved = np.zeros(cur.size, dtype=bool)
+        for k, idx in enumerate(classes):
+            cur_k, prop_k = cur[idx], prop[idx]
+            delta = log_ratio(self.ctx, st, k, prop_k, d_lik[idx])
             # as in _accept: NaN and +inf reject and are counted, one uniform each
-            finite = delta < np.inf
+            finite = np.less(delta, np.inf)
             block.nonfinite += finite.size - int(np.count_nonzero(finite))
             accept = (log_u[k] < delta) & finite
-            st.phi[idx] = np.where(accept, prop_k, cur)
+            cur[idx] = np.where(accept, prop_k, cur_k)
             moved[idx] = accept
         block.accepted += moved
-        block.proposed += 1  # the colour classes partition the regions
+        block.proposed += 1  # the colour classes partition the entries
+        return moved, prop_terms
+
+    def update_phi_block(self):
+        moved, prop_terms = self._update_field("phi", self.ctx.colors,
+                                               _phi_loglik_diffs, _phi_log_ratio)
         # the accepted regions' terms, whole rows of a panel
         keep = moved if self.terms.ndim == 1 else moved[:, None]
         self.terms = np.where(keep, prop_terms, self.terms)
@@ -425,20 +429,9 @@ class _ChainRunner:
         st.tau = float(self.rng.gamma(shape, 1.0 / rate))
 
     def update_alpha(self):
-        st, block = self.state, self.blocks["alpha"]
-        # year by year, a normal then a uniform: this order fixes the draws
-        z, u = np.array([(self.rng.standard_normal(), self.rng.random())
-                         for _ in st.alpha]).T
-        prop = st.alpha + block.scales * z
-        d_lik, prop_terms = _alpha_loglik_diffs(self.ctx, st, prop, self.xb, self.terms)
-        alpha = st.alpha.tolist()
-        for t, (p, d, log_u) in enumerate(zip(prop.tolist(), d_lik.tolist(),
-                                              np.log(u).tolist())):
-            delta = _alpha_log_ratio(alpha, t, p, st.rho, st.omega, d)
-            if self._accept(block, t, delta, log_u):
-                alpha[t] = p
-                self.terms[:, t] = prop_terms[:, t]
-        st.alpha[:] = alpha
+        moved, prop_terms = self._update_field("alpha", self.ctx.year_colors,
+                                               _alpha_loglik_diffs, _alpha_log_ratio)
+        self.terms = np.where(moved, prop_terms, self.terms)  # whole columns
 
     def update_rho(self):
         st = self.state
@@ -452,7 +445,7 @@ class _ChainRunner:
 
     def update_omega(self):
         st = self.state
-        shape, scale = omega_posterior_params(st.alpha, st.rho)
+        shape, scale = _omega_posterior_params(st.alpha, st.rho)
         if scale <= 0.0:
             return  # all temporal effects still exactly zero; keep omega
         g = self.rng.gamma(shape, 1.0 / scale)
@@ -478,7 +471,8 @@ class _ChainRunner:
             self.sweep()
             if it % cfg.adapt_window == 0:
                 for b in blocks.values():
-                    adapt_scales(b.scales, b.accepted, b.proposed, cfg.target_acceptance)
+                    _adapt_scales(b.scales, b.accepted, b.proposed,
+                                  cfg.target_acceptance)
                     b.accepted[:] = b.proposed[:] = 0
         # the kernel is frozen from here on; the reported rates count these
         # sweeps only, not the tail of a partial last window

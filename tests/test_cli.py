@@ -849,6 +849,46 @@ class TestQuotedIds:
         assert report["n_compared"] == 16
 
 
+class TestQuotedHubs:
+    """A hub id holding a comma is quoted as in CSV, on --hubs and in the INI."""
+
+    @pytest.fixture
+    def renamed(self, lattice_files, tmp_path):
+        # the truth file has a region,n header, so it doubles as populations
+        for name in ("adjacency.csv", "truth.csv"):
+            rename_regions(lattice_files / name, tmp_path / name, {"r0": "r,0"})
+        return tmp_path
+
+    def test_simulate(self, lattice_files, renamed):
+        runs = {"plain": (lattice_files, "r0,r5,r10"),
+                "quoted": (renamed, '"r,0", r5,r10')}
+        for out, (root, hubs) in runs.items():
+            rc = run_cli("simulate", "--adjacency", root / "adjacency.csv",
+                         "--populations", root / "truth.csv", "--seed", 5,
+                         "--hubs", hubs, "--out", renamed / out)
+            assert rc == 0
+        for name in ("dataset.csv", "truth.csv"):
+            plain = read_rows(renamed / "plain" / name)
+            assert read_rows(renamed / "quoted" / name) == [
+                ["r,0" if cell == "r0" else cell for cell in row] for row in plain]
+
+    def test_study_ini(self, renamed, monkeypatch, capsys):
+        hubs = []
+
+        def stop(graph, truth, *args, **kwargs):
+            hubs.append(truth.provenance["hubs"])
+            raise ValueError("stopped before sampling")
+
+        monkeypatch.setattr("arealrisk.cli.run_study", stop)
+        cfg = renamed / "study.ini"
+        cfg.write_text(f"[graph]\nadjacency = {renamed / 'adjacency.csv'}\n"
+                       f"[populations]\npath = {renamed / 'truth.csv'}\n"
+                       '[truth]\nhubs = "r,0", r5,r10\n')
+        assert run_cli("study", "--config", cfg, "--out", renamed / "out") != 0
+        assert json.loads(capsys.readouterr().err)["message"] == "stopped before sampling"
+        assert hubs == [["r,0", "r5", "r10"]]
+
+
 class TestUtf8WhateverTheLocale:
     """Inputs are read and CSV artifacts written as UTF-8 under any locale."""
 

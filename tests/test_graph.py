@@ -10,13 +10,13 @@ from hypothesis import strategies as hst
 from arealrisk.graph import (
     AdjacencyGraph,
     GraphStructureError,
-    car_log_kernel,
     car_pairwise_sum,
     load_adjacency,
 )
 from arealrisk.model import Dataset, ModelSpec
 from arealrisk.sampler import _FitContext
 from arealrisk.simstudy import lattice_graph
+from tests.test_sampler import car_log_kernel
 
 
 def path_graph():

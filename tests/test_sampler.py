@@ -18,7 +18,7 @@ from scipy import integrate
 from scipy.stats import gamma, invgamma, norm
 
 from arealrisk import sampler
-from arealrisk.graph import AdjacencyGraph, car_log_kernel, car_pairwise_sum
+from arealrisk.graph import AdjacencyGraph, car_pairwise_sum
 from arealrisk.model import (
     Dataset,
     ModelSpec,
@@ -31,17 +31,17 @@ from arealrisk.model import (
 from arealrisk.sampler import (
     ChainState,
     SamplerConfig,
+    _adapt_scales,
     _alpha_log_ratio,
     _alpha_loglik_diffs,
+    _ar1_log_prior,
     _beta_log_ratio,
     _ChainRunner,
     _FitContext,
+    _omega_posterior_params,
     _phi_log_ratio,
     _phi_loglik_diffs,
     _rho_log_ratio,
-    adapt_scales,
-    ar1_log_prior,
-    omega_posterior_params,
     run_chain,
     tau_posterior_params,
 )
@@ -93,6 +93,16 @@ SPECS_STATIC = [
     ModelSpec("cg", link="skewed_logit", c0=0.004),
     ModelSpec("is"),
 ]
+
+
+def car_log_kernel(graph: AdjacencyGraph, phi: np.ndarray, tau: float) -> float:
+    """Log of the unnormalized CAR density: (I/2) log(tau) - (tau/2) S(phi)."""
+    tau = float(tau)
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    return 0.5 * graph.n_regions * np.log(tau) - 0.5 * tau * car_pairwise_sum(
+        graph, phi
+    )
 
 
 def joint_log_posterior(dataset, graph, spec, beta, phi, tau,
@@ -149,11 +159,14 @@ def phi_ratio(ctx, st, k, prop):
 
 def alpha_ratio(ctx, st, t, value):
     """The sweep's log ratio of alpha_t moving to ``value``, from the block's one
-    kernel call with every other year at its current value."""
+    kernel call with every other year at its current value, as one entry of
+    its year class's ratios."""
+    k = next(k for k, idx in enumerate(ctx.year_colors) if t in idx)
+    idx = ctx.year_colors[k]
     prop = st.alpha.copy()
     prop[t] = value
     d_lik, _ = _alpha_loglik_diffs(ctx, st, prop, *carried(ctx, st))
-    return _alpha_log_ratio(st.alpha.tolist(), t, value, st.rho, st.omega, d_lik[t])
+    return _alpha_log_ratio(ctx, st, k, prop[idx], d_lik[idx])[idx == t][0]
 
 
 # Each check returns (the sweep's log ratio, the joint's difference) for one
@@ -307,8 +320,9 @@ class TestLevelInvariance:
         shape = (I,) if T is None else (I, T)
         x = np.ones(shape + (2,))
         x[..., 1] = rng.normal(size=shape)
-        data = Dataset(graph.region_ids, rng.integers(0, 21, size=shape),
-                       rng.uniform(20.0, 300.0, size=shape), x,
+        y = rng.integers(0, 21, size=shape)
+        y[0] += 1  # no slice is all zero, which an IS fit rejects
+        data = Dataset(graph.region_ids, y, rng.uniform(20.0, 300.0, size=shape), x,
                        None if T is None else tuple(range(T)))
         if T is not None:
             spec = dataclasses.replace(spec, temporal="dynamic_ar1")
@@ -329,6 +343,15 @@ class TestLevelInvariance:
         prop[int(rng.integers(0, 2))] += rng.normal()
         assert beta_check(ctx, shifted, prop - level)[0] == pytest.approx(
             beta_check(ctx, st, prop)[0], **close)
+
+    def test_is_context_rejects_an_all_zero_slice(self):
+        # why the generator above adds a count to every slice
+        graph = AdjacencyGraph(["a", "b"], [(0, 1)])
+        data = Dataset(graph.region_ids, [[0, 20, 9], [0, 15, 12]],
+                       np.full((2, 3), 100.0), np.ones((2, 3, 1)), (0, 1, 2))
+        message = "all counts are zero at time 0; the pooled rate degenerates"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _FitContext(data, graph, ModelSpec("is", temporal="dynamic_ar1"))
 
 
 class TestTauConjugacy:
@@ -382,11 +405,11 @@ class TestOmegaConditional:
         # with the analytic inverse-gamma density on a grid
         alpha = np.array([0.3, -0.1, 0.25, 0.4])
         rho = 0.6
-        shape, scale = omega_posterior_params(alpha, rho)
+        shape, scale = _omega_posterior_params(alpha, rho)
         assert shape == 2.0  # T/2
 
         def unnorm(w):
-            return np.exp(ar1_log_prior(alpha, rho, w) - np.log(w))
+            return np.exp(_ar1_log_prior(alpha, rho, w) - np.log(w))
 
         norm = _integrate_to_inf(unnorm)
         grid = np.linspace(0.01, 1.5, 40)
@@ -397,10 +420,10 @@ class TestOmegaConditional:
     def test_mean_against_quadrature(self):
         alpha = np.array([0.5, 0.2, -0.3, 0.6])
         rho = -0.4
-        shape, scale = omega_posterior_params(alpha, rho)
+        shape, scale = _omega_posterior_params(alpha, rho)
 
         def unnorm(w):
-            return np.exp(ar1_log_prior(alpha, rho, w) - np.log(w))
+            return np.exp(_ar1_log_prior(alpha, rho, w) - np.log(w))
 
         norm = _integrate_to_inf(unnorm)
         mean_num = _integrate_to_inf(lambda w: w * unnorm(w))
@@ -442,17 +465,17 @@ class TestMetropolisRule:
 class TestAdaptation:
     def test_low_acceptance_shrinks(self):
         scales = np.array([1.0])
-        adapt_scales(scales, np.array([5.0]), np.array([100.0]), (0.15, 0.40))
+        _adapt_scales(scales, np.array([5.0]), np.array([100.0]), (0.15, 0.40))
         assert scales[0] == pytest.approx(0.8)
 
     def test_in_band_unchanged(self):
         scales = np.array([1.0])
-        adapt_scales(scales, np.array([25.0]), np.array([100.0]), (0.15, 0.40))
+        _adapt_scales(scales, np.array([25.0]), np.array([100.0]), (0.15, 0.40))
         assert scales[0] == 1.0
 
     def test_high_acceptance_grows(self):
         scales = np.array([1.0])
-        adapt_scales(scales, np.array([50.0]), np.array([100.0]), (0.15, 0.40))
+        _adapt_scales(scales, np.array([50.0]), np.array([100.0]), (0.15, 0.40))
         assert scales[0] == pytest.approx(1.25)
 
 
@@ -599,6 +622,41 @@ class TestRunChain:
             accepted = sum(counts[block][0] for counts in post)
             proposed = sum(counts[block][1] for counts in post)
             assert np.array_equal(rate, accepted / proposed), block
+
+
+class TestScalesFreeze:
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_scales_adapt_in_burn_in_windows_only(self, monkeypatch, dynamic):
+        # every adaptation call falls on a window boundary inside burn-in, and
+        # the reported scales are those at the end of burn-in
+        rng = np.random.default_rng(39)
+        graph, data = covariate_problem(rng, 2, T=4 if dynamic else None)
+        spec = ModelSpec("cg", temporal="dynamic_ar1" if dynamic else "static")
+        cfg = SamplerConfig(n_iterations=430, burn_in=230, thin=2, seed=41,
+                            adapt_window=50)
+        runner = _ChainRunner(data, graph, spec, cfg)
+        sweep, adapt = runner.sweep, sampler._adapt_scales
+        swept, calls, frozen = [], [], {}
+
+        def counted_sweep():
+            if len(swept) == cfg.burn_in:
+                frozen.update({b: block.scales.copy()
+                               for b, block in runner.blocks.items()})
+            swept.append(None)
+            sweep()
+
+        def recorded_adapt(*a):
+            calls.append(len(swept))
+            return adapt(*a)
+
+        runner.sweep = counted_sweep
+        monkeypatch.setattr(sampler, "_adapt_scales", recorded_adapt)
+        samples = runner.run()
+        assert len(swept) == cfg.n_iterations
+        assert calls == [w for w in (50, 100, 150, 200) for _ in runner.blocks]
+        assert set(samples.proposal_scales) == set(frozen)
+        for block, scales in frozen.items():
+            assert np.array_equal(samples.proposal_scales[block], scales), block
 
 
 def covariate_problem(rng, k, T=None, I=6):
@@ -767,6 +825,40 @@ class TestBatchedKernel:
             assert d_lik[t] == float(year.sum()) - float(terms[:, t].sum())
 
 
+class TestYearClasses:
+    """The alpha block tests its even years, then its odd years, each class
+    with ratios from the block's one kernel call. No year in a class is
+    another's neighbour, so each ratio is the one-year-at-a-time ratio, and
+    its prior part is a difference of the AR(1) density."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), spec=hst.sampled_from(SPECS_STATIC),
+           T=hst.integers(2, 11),
+           rho=hst.floats(-0.95, 0.99, exclude_min=True, exclude_max=True))
+    def test_class_ratios_match_one_year_at_a_time(self, seed, spec, T, rho):
+        rng = np.random.default_rng(seed)
+        graph, data = covariate_problem(rng, 1, T=T)
+        spec = dataclasses.replace(spec, temporal="dynamic_ar1")
+        ctx = _FitContext(data, graph, spec)
+        st = dataclasses.replace(random_state(rng, data.n_regions, 1, T=T), rho=rho)
+        assert [t for idx in ctx.year_colors for t in idx] == [*range(0, T, 2),
+                                                             *range(1, T, 2)]
+        prior = _ar1_log_prior(st.alpha, rho, st.omega)
+        for k, idx in enumerate(ctx.year_colors):
+            prop = st.alpha.copy()
+            prop[idx] += rng.normal(scale=0.6, size=idx.size)
+            d_lik, _ = _alpha_loglik_diffs(ctx, st, prop, *carried(ctx, st))
+            ratios = _alpha_log_ratio(ctx, st, k, prop[idx], d_lik[idx])
+            assert ratios.shape == idx.shape
+            for t, ratio in zip(idx, ratios):
+                alpha = st.alpha.copy()
+                alpha[t] = prop[t]
+                d_prior = _ar1_log_prior(alpha, rho, st.omega) - prior
+                assert ratio == pytest.approx(alpha_ratio(ctx, st, t, prop[t]),
+                                              abs=1e-9)
+                assert ratio - d_lik[t] == pytest.approx(d_prior, abs=1e-9)
+
+
 class RecordingRng:
     """A generator that records each draw's method and size, in order."""
 
@@ -783,8 +875,8 @@ class RecordingRng:
 
 
 class TestDrawOrder:
-    """The batched blocks draw in the order of a loop that evaluates one class
-    (one year) at a time, so every draw, and every artifact, stays the same."""
+    """The batched blocks draw in the order of a loop that evaluates one colour
+    class at a time: a class's normals, then its uniforms."""
 
     @staticmethod
     def recorded(update):
@@ -802,9 +894,10 @@ class TestDrawOrder:
         assert runner.rng.calls == [(draw, n) for n in sizes
                                     for draw in ("standard_normal", "random")]
 
-    def test_alpha_block_draws_a_normal_then_a_uniform_year_by_year(self):
+    def test_alpha_block_draws_normals_then_uniforms_class_by_class(self):
+        # the T = 4 years are coloured (0, 2), then (1, 3)
         runner = self.recorded("update_alpha")
-        assert runner.rng.calls == [("standard_normal", None), ("random", None)] * 4
+        assert runner.rng.calls == [("standard_normal", 2), ("random", 2)] * 2
 
 
 class TestNonFinite:
