@@ -345,6 +345,8 @@ def cmd_study(args) -> int:
     for link in links:
         if link not in LINKS:
             raise CommandError(f"unknown link {link!r}")
+        if links.count(link) > 1:
+            raise CommandError(f"link {link!r} is named more than once")
     c0 = None
     if "skewed_logit" in links:
         if not cfg["study"].get("c0", "").strip():

@@ -14,11 +14,11 @@ linear interpolation between order statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .model import Dataset, _eta, _write_csv, apply_link, internal_standardization
+from .model import (Dataset, _eta, _json_rows, _write_csv, _write_json, apply_link,
+                    internal_standardization)
 from .sampler import PosteriorSamples
 
 __all__ = [
@@ -179,58 +179,27 @@ def write_summary_csv(summaries, path) -> None:
          s.estimator, *(getattr(s, attr) for attr in _FIELDS)] for s in summaries))
 
 
-# the texts json gives the floats that repr writes otherwise
-_JSON_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_numbers(values: np.ndarray) -> list:
-    """Each value as ``json.dump`` writes it, from one ``repr`` of the list."""
-    text = repr(values.tolist())[1:-1].split(", ")
-    if np.isfinite(values).all():
-        return text
-    return [_JSON_SPECIALS.get(v, v) for v in text]
-
-
-def _json_object(node: dict, pad: str) -> str:
-    """``node`` as ``json.dump(indent=2, sort_keys=True)`` writes it at ``pad``.
-
-    A str value is JSON text already; a dict value is written the same way.
-    """
-    if not node:
-        return "{}"
-    inner = pad + "  "
-    return ("{\n" + inner + (",\n" + inner).join(
-        [encode_basestring_ascii(key) + ": "
-         + (value if isinstance(value, str) else _json_object(value, inner))
-         for key, value in sorted(node.items())]) + "\n" + pad + "}")
-
-
 def write_geojson_properties(summaries, path) -> None:
     """Write a per-region properties map for joining onto region geometries.
 
     The file maps region id -> estimator (-> time, for panel fits) -> the
     same fields as the summary CSV; render with any external choropleth
-    tool by joining on the region id. The text is what ``json.dump`` writes
-    with indent 2 and sorted keys, but each summary's columns are formatted
-    once and each region's fields through one template.
+    tool by joining on the region id. Each summary's fields are formatted a
+    column at a time by ``_json_rows``.
     """
     out: dict = {}
     for s in summaries:
-        names = _field_names(s.level)
-        order = sorted(range(len(names)), key=names.__getitem__)
-        pad = "      " if s.time is None else "        "
-        fields = ("{\n" + ",\n".join(pad + encode_basestring_ascii(names[i]) + ": %s"
-                                      for i in order) + "\n" + pad[:-2] + "}")
-        columns = [_json_numbers(getattr(s, _FIELDS[i])) for i in order]
-        for region, *values in zip(s.region_ids, *columns):
+        rows = _json_rows({name: getattr(s, attr)
+                           for name, attr in zip(_field_names(s.level), _FIELDS)})
+        for region, row in zip(s.region_ids, rows):
             slot = out.setdefault(region, {})
             if s.time is None:
-                slot[s.estimator] = fields % tuple(values)
+                slot[s.estimator] = row
                 continue
             times = slot.setdefault(s.estimator, {})
             if isinstance(times, str):
                 raise ValueError(f"region {region!r}: estimator {s.estimator!r} "
                                  "has both a static and a panel summary")
-            times[str(s.time)] = fields % tuple(values)
+            times[str(s.time)] = row
     with open(path, "w") as fh:
-        fh.write(_json_object(out, "") + "\n")
+        _write_json(out, fh)

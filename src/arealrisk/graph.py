@@ -165,6 +165,8 @@ def _parse_edge_list(lines):
     ends = []  # both ends of every edge, edge after edge
     with lines as rows:
         for row in rows:
+            if len(row) > 2:
+                raise ValueError(f"edge row has {len(row)} fields, expected at most 2")
             if len(row) < 2 or row[1] == "":
                 # a row naming only one region declares it without neighbors
                 named.append(row[0])
@@ -209,17 +211,20 @@ def _parse_matrix(path, header, lines):
 def load_adjacency(path, region_ids=None) -> AdjacencyGraph:
     """Load an adjacency file.
 
-    Two CSV forms are accepted: an edge list with header ``from,to``, or a
-    square 0/1 matrix whose header row and first column carry the region
-    ids. Edge lists are symmetrized and deduplicated; matrices must already
-    be symmetric. If ``region_ids`` is given, the file must name no other
-    region, and every listed region must appear with at least one neighbor.
+    Two CSV forms are accepted: an edge list with header ``from,to`` and at
+    most two fields a row, or a square 0/1 matrix whose header row and first
+    column carry the region ids. Edge lists are symmetrized and deduplicated;
+    matrices must be symmetric. If ``region_ids`` is given, the file must name
+    no other region, and every listed region must appear with a neighbor.
     """
     header, lines = _read_csv(path, GraphStructureError)
     if not header:
         raise GraphStructureError(f"{path}: empty adjacency file")
     # either form gives the regions in file order and the edges' ends, flat
     if [c.lower() for c in header[:2]] == ["from", "to"]:
+        if len(header) != 2:
+            raise GraphStructureError(f"{path}: edge-list header must be from,to; "
+                                      f"got {header}")
         order, ends = _parse_edge_list(lines)
     else:
         order, ends = _parse_matrix(path, header, lines)

@@ -15,11 +15,12 @@ writes floats and JSON.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -304,14 +305,74 @@ def log_likelihood_is(dataset: Dataset, E, beta, phi, alpha=None) -> float:
     return _log_likelihood(dataset, ModelSpec("is"), np.log(E), beta, phi, alpha)
 
 
-def _write_json(obj, fh) -> None:
-    """Write ``obj`` to an open text stream the way every JSON artifact holds it.
+class _JsonText(str):
+    """JSON text laid out at the top level; ``_write_json`` indents it where it lands."""
 
-    Indent 2, sorted keys, trailing newline. ``json.dump`` streams its chunks,
-    so a report over 10^4 regions never sits whole in memory as one string.
-    """
-    json.dump(obj, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    __slots__ = ()  # no instance dict: a map holds one per region and estimator
+
+
+def _write_json(obj, fh) -> None:
+    """Write ``obj`` to an open text stream the way every JSON artifact holds it:
+    what ``json.dump(obj, fh, indent=2, sort_keys=True)`` writes for str keys,
+    then a newline. A ``_JsonText`` goes in as it is. A top-level dict or list is
+    written 1000 members at a time, so a 10^4-region report never sits whole in
+    memory."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        fh.write(_json_text(obj, "\n") + "\n")
+        return
+    members = iter(_json_members(obj, "\n  "))
+    opening, closing = "{}" if isinstance(obj, dict) else "[]"
+    sep = opening + "\n  "
+    for chunk in iter(lambda: ",\n  ".join(islice(members, 1000)), ""):
+        fh.write(sep + chunk)
+        sep = ",\n  "
+    fh.write("\n" + closing + "\n")
+
+
+def _json_text(obj, nl: str) -> str:
+    """The text of ``obj``, ``nl`` starting each of its inner lines."""
+    if isinstance(obj, str):
+        return obj.replace("\n", nl) if type(obj) is _JsonText else encode_basestring_ascii(obj)
+    if isinstance(obj, float):
+        return _json_floats([float(obj)])[0]
+    if not isinstance(obj, (dict, list, tuple)):  # int.__repr__ rejects what json cannot write
+        return ("null" if obj is None else "true" if obj is True else "false" if obj is False
+                else int.__repr__(obj))
+    opening, closing = "{}" if isinstance(obj, dict) else "[]"
+    if not obj:
+        return opening + closing
+    inner = nl + "  "
+    return opening + inner + ("," + inner).join(_json_members(obj, inner)) + nl + closing
+
+
+def _json_members(obj, inner: str):
+    """The texts of a non-empty dict's or list's members, one by one; a list of
+    floats goes through one ``repr``."""
+    if isinstance(obj, dict):
+        return (encode_basestring_ascii(key) + ": " + _json_text(obj[key], inner)
+                for key in sorted(obj))
+    if set(map(type, obj)) == {float}:
+        return _json_floats(list(obj))
+    return (_json_text(value, inner) for value in obj)
+
+
+def _json_floats(values: list) -> list:
+    """Each float of ``values`` as JSON text, from one ``repr`` of the list."""
+    text = repr(values)[1:-1]
+    if "n" not in text:  # no nan, inf or -inf
+        return text.split(", ")
+    specials = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    return [specials.get(v, v) for v in text.split(", ")]
+
+
+def _json_rows(columns: dict) -> list:
+    """Row i of the float ``columns`` (name -> array) as the ``_JsonText`` of
+    ``{name: column[i]}``, through one template and one ``repr`` per column."""
+    names = sorted(columns)
+    template = "{\n  " + ",\n  ".join(
+        encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names) + "\n}"
+    texts = [_json_floats(columns[name].tolist()) for name in names]
+    return [_JsonText(template % row) for row in zip(*texts)]
 
 
 # a text field holding one of these is quoted

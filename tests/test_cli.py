@@ -493,6 +493,7 @@ class TestInputErrorsNameFileAndLine:
         ("region,r0,r1\nr0,0,1\nr1,1,x\n", 3,
          "adjacency entries must be 0 or 1, got 'x'"),
         ("region,r0,r1\nr0,0,1\n  \nr1,1,0,0\n", 4, "expected 3 columns, got 4"),
+        ("from,to\nr0,r1\nr1,r2,0\n", 3, "edge row has 3 fields, expected at most 2"),
     ])
     def test_adjacency_row(self, lattice_files, tmp_path, capsys, text, line, message):
         adj = tmp_path / "bad_adjacency.csv"
@@ -740,6 +741,18 @@ class TestStudyConfigErrors:
         rc = run_cli("study", "--config", cfg, *argv, "--out", tmp_path / "out")
         self.assert_rejected(rc, capsys, "CommandError",
                              f"[run] jobs (or --jobs) must be at least 1, got {value}")
+
+    @pytest.mark.parametrize("argv, ini, link", [
+        (["--link", "logit,cloglog,logit"], "", "logit"),
+        ([], "[study]\nlinks = cloglog, logit,cloglog\n", "cloglog"),
+    ], ids=["flag", "ini"])
+    def test_repeated_link(self, tmp_path, capsys, no_sampling, argv, ini, link):
+        # one master seed per link: a repeat would run the same study twice
+        cfg = tmp_path / "study.ini"
+        cfg.write_text(f"[graph]\nadjacency = {tmp_path / 'missing.csv'}\n" + ini)
+        rc = run_cli("study", "--config", cfg, *argv, "--out", tmp_path / "out")
+        self.assert_rejected(rc, capsys, "CommandError",
+                             f"link {link!r} is named more than once")
 
     @pytest.mark.parametrize("argv, ini", [
         (["--replicates", "1"], ""),

@@ -19,8 +19,16 @@ from arealrisk.estimators import (
     write_geojson_properties,
     write_summary_csv,
 )
-from arealrisk.model import Dataset, ModelSpec, apply_link, internal_standardization
+from arealrisk import cli, metrics, sampler
+from arealrisk.model import (
+    Dataset,
+    ModelSpec,
+    _write_json,
+    apply_link,
+    internal_standardization,
+)
 from arealrisk.sampler import PosteriorSamples, SamplerConfig
+from tests.test_cli import FAST, lattice_files, panel_file, run_cli  # noqa: F401
 
 
 def make_samples(spec, beta, phi, region_ids, alpha=None, rho=None, omega=None,
@@ -375,7 +383,107 @@ def summary_sets(draw):
             for tag, time in keys]
 
 
+# json.dump's hard cases: quotes, backslashes, control and non-ASCII characters
+# (in keys too), ints past 2**63, non-finite and extreme floats, empty containers
+json_strs = hst.text(hst.one_of(hst.sampled_from('"\\/\x00\x1f\x7f\n\té区\U0001f600'),
+                                hst.characters()), max_size=5)
+json_float_values = hst.one_of(
+    hst.sampled_from([np.nan, np.inf, -np.inf, -0.0, 1e16, 1e-05, 5e-324]), hst.floats())
+json_values = hst.recursive(
+    hst.one_of(hst.none(), hst.booleans(), hst.integers(),
+               hst.integers(2**63, 2**80), hst.integers(-2**80, -2**63), json_float_values,
+               json_strs),
+    lambda inner: hst.one_of(hst.lists(inner, max_size=4),
+                             hst.lists(inner, max_size=4).map(tuple),
+                             hst.lists(json_float_values, min_size=1, max_size=4),
+                             hst.lists(json_float_values, min_size=1, max_size=4).map(tuple),
+                             hst.dictionaries(json_strs, inner, max_size=4)),
+    max_leaves=20)
+
+
+def json_dump_text(obj) -> str:
+    """The text every JSON artifact must hold: json.dump's, and a newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture(scope="class")
+def json_artifacts(lattice_files, panel_file, tmp_path_factory):
+    """The JSON artifacts of fits, a study, a forecast and a compare run, each
+    with the object it was written from (by path)."""
+    root = tmp_path_factory.mktemp("artifacts")
+    written = {}
+
+    def recording(write):
+        def record(obj, fh):
+            written[fh.name] = obj
+            write(obj, fh)
+        return record
+
+    static = ["--data", lattice_files / "dataset.csv",
+              "--adjacency", lattice_files / "adjacency.csv", *FAST, "--seed", 3]
+    panel = ["--data", panel_file / "panel.csv",
+             "--adjacency", panel_file / "adjacency.csv", *FAST, "--seed", 3]
+    runs = {
+        "fit-cg": ["fit", *static, "--family", "cg"],
+        "fit-is": ["fit", *static, "--family", "is"],
+        "fit-panel": ["fit", *panel, "--family", "cg", "--link", "cloglog"],
+        "study": ["study", "--replicates", 2, "--iterations", 300, "--burn-in", 100,
+                  "--link", "logit,cloglog", "--jobs", 2, "--seed", 3],
+        "forecast": ["forecast", *panel, "--family", "both"],
+        "compare": ["compare", "--left", root / "fit-cg" / "summary.csv",
+                    "--right", root / "fit-is" / "summary.csv"],
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (cli, metrics, sampler):
+            mp.setattr(module, "_write_json", recording(module._write_json))
+        for name, argv in runs.items():
+            assert run_cli(*argv, "--out", root / name) == 0
+    return root, written
+
+
 class TestWritersMatchTheirReference:
+    @pytest.mark.parametrize("artifact", [
+        "fit-cg/metadata.json", "fit-is/metadata.json", "fit-panel/metadata.json",
+        "study/study_report.json", "forecast/forecast_report.json",
+        "compare/comparison.json"])
+    def test_json_artifact_is_json_dump(self, json_artifacts, artifact):
+        root, written = json_artifacts
+        path = root / artifact
+        assert path.read_text() == json_dump_text(written[str(path)])
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--data", "d.csv", "--adjacency", "a.csv", "--family", "cg"],
+        ["simulate", "--hubs", '"r,0",r5'],
+        ["study", "--link", "logit,cloglog"],
+        ["forecast", "--data", "d.csv", "--adjacency", "a.csv"],
+        ["compare", "--left", "l.csv", "--right", "é.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_print_config_is_json_dump(self, argv, tmp_path, capsys, monkeypatch):
+        written = []
+        monkeypatch.setattr(cli, "_write_json",
+                            lambda obj, fh: (written.append(obj), _write_json(obj, fh)))
+        assert run_cli(*argv, "--print-config", "--out", tmp_path) == 0
+        assert capsys.readouterr().out == json_dump_text(written[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=json_values)
+    def test_write_json_is_json_dump(self, obj):
+        fh = io.StringIO()
+        _write_json(obj, fh)
+        assert fh.getvalue() == json_dump_text(obj)
+
+    @pytest.mark.parametrize("n", [999, 1000, 1001, 2500])
+    def test_write_json_streams_a_big_report(self, n):
+        # a top-level container goes out a thousand members at a time
+        for obj in ({f"r{i}": {"mean": i / 7} for i in range(n)},
+                    [[i / 7] for i in range(n)]):
+            writes = []
+            fh = io.StringIO()
+            fh.write = lambda text: writes.append(text)
+            _write_json(obj, fh)
+            assert "".join(writes) == json_dump_text(obj)
+            assert len(writes) == 2 + (n - 1) // 1000
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf lengths
     @settings(max_examples=200, deadline=None)
     @given(summaries=summary_sets())

@@ -106,6 +106,23 @@ class TestConstruction:
             load_adjacency(f)
         assert str(exc.value) == f"{f}, line {line}: {message}"
 
+    @pytest.mark.parametrize("header", ["from,to,weight", "From,TO,weight", "from,to,"])
+    def test_edge_list_header_beyond_from_to_rejected(self, tmp_path, header):
+        # a weight column is not read, so its zero-weight pairs would load as edges
+        f = tmp_path / "adj.csv"
+        f.write_text(f"{header}\nA,B,1\nB,C,0\nA,C,0\n")
+        with pytest.raises(GraphStructureError) as exc:
+            load_adjacency(f)
+        assert str(exc.value) == (f"{f}: edge-list header must be from,to; "
+                                  f"got {header.split(',')}")
+
+    def test_edge_row_beyond_two_fields_rejected(self, tmp_path):
+        f = tmp_path / "adj.csv"
+        f.write_text("FROM,To\nA,B\nB,C,0\n")
+        with pytest.raises(GraphStructureError) as exc:
+            load_adjacency(f)
+        assert str(exc.value) == f"{f}, line 3: edge row has 3 fields, expected at most 2"
+
     @pytest.mark.parametrize("text", [
         "from,to\nA,B\nB,C\nC,D\n",
         "region,A,B,C\nA,0,1,0\nB,1,0,1\nC,0,1,0\n",

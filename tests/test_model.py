@@ -387,10 +387,8 @@ class TestLinearPredictor:
 
 
 # the functions that may call .write or .writelines: the CSV writer, the draws
-# writer and its row loop, the geojson writer, the JSON writer, and main's
-# stderr line
-WRITERS = {"_write_csv", "write_draws_csv", "_write_draw_rows",
-           "write_geojson_properties", "_write_json"}
+# writer and its row loop, the JSON writer, and main's stderr line
+WRITERS = {"_write_csv", "write_draws_csv", "_write_draw_rows", "_write_json"}
 
 
 def stray_writes(source: str, name: str) -> list:
@@ -411,6 +409,26 @@ def stray_writes(source: str, name: str) -> list:
 
     visit(ast.parse(source), None)
     return stray
+
+
+def json_dumpers(source: str, name: str) -> list:
+    """Uses of ``json.dump``/``json.dumps`` outside ``cli.main``'s error object."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef) and owner is None:
+            owner = node.name
+        used = ([alias.name for alias in node.names]
+                if isinstance(node, ast.ImportFrom) and node.module == "json"
+                else [node.attr] if isinstance(node, ast.Attribute)
+                and ast.unparse(node.value) == "json" else [])
+        if {"dump", "dumps"} & set(used) and (name, owner) != ("cli.py", "main"):
+            found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
 
 
 def row_error_owners(source: str, name: str) -> list:
@@ -493,6 +511,24 @@ class TestWriteCsv:
         stray = [line for path in sorted(src.glob("*.py"))
                  for line in stray_writes(path.read_text(), path.name)]
         assert stray == []
+
+    def test_only_the_error_object_uses_json_dump(self):
+        # one owner of the JSON artifact format: model._write_json
+        src = Path(__file__).resolve().parents[1] / "src" / "arealrisk"
+        found = [line for path in sorted(src.glob("*.py"))
+                 for line in json_dumpers(path.read_text(), path.name)]
+        assert found == []
+
+    def test_a_json_dump_outside_main_is_found(self):
+        source = ("from json import dumps as d\n"
+                  "def _write_json(obj, fh):\n"
+                  "    json.dump(obj, fh, indent=2)\n"
+                  "def main():\n"
+                  "    json.dump({}, sys.stderr)\n")
+        assert json_dumpers(source, "cli.py") == [
+            "cli.py:1: from json import dumps as d",
+            "cli.py:3: json.dump"]
+        assert len(json_dumpers(source, "model.py")) == 3
 
     def test_a_stray_writer_is_found(self):
         source = ("def cmd_x(fh, rows):\n"
