@@ -187,6 +187,10 @@ def _floats(text: str) -> tuple:
     return tuple(float(v) for v in text.split(","))
 
 
+# the recipe's default hub bumps, as --hub-bumps and [truth] hub_bumps spell them
+_HUB_BUMPS = ",".join(map(str, TruthRecipe.hub_bumps))
+
+
 def _truth_recipe(baseline, hub_bumps, neighbor_bump, hubs) -> TruthRecipe:
     """The truth recipe, with hub ids from one CSV row: quote an id holding a comma."""
     cells = next(csv.reader([hubs or ""], skipinitialspace=True), [])
@@ -256,8 +260,8 @@ def cmd_simulate(args) -> int:
 STUDY_DEFAULTS = {
     "graph": {"lattice": "10", "adjacency": ""},
     "populations": {"path": "", "low": "2e4", "high": "2e5", "scale": "1.0"},
-    "truth": {"baseline": "0.001", "hub_bumps": "0.0015,0.001,0.001",
-              "neighbor_bump": "0.0005", "hubs": ""},
+    "truth": {"baseline": str(TruthRecipe.baseline), "hub_bumps": _HUB_BUMPS,
+              "neighbor_bump": str(TruthRecipe.neighbor_bump), "hubs": ""},
     "study": {"replicates": "100", "links": "logit", "c0": "0.004",
               "level": "0.9"},
     # studies tune toward an interior acceptance band so realized rates sit
@@ -492,6 +496,8 @@ def cmd_forecast(args) -> int:
 
 
 def _read_summary(path):
+    """The rows of a summary CSV by (region, time, estimator), and the names of
+    its interval columns (``lo90``, ``hi90`` at level 0.9)."""
     header, lines = _read_csv(path, CommandError)
     missing = [c for c in ("region", "estimator", "length") if c not in header]
     if missing:
@@ -512,12 +518,16 @@ def _read_summary(path):
             rows[key] = row
     if not rows:
         raise CommandError(f"{path}: empty summary file")
-    return rows
+    return rows, [c for c in header if c[:2] in ("lo", "hi") and c[2:3].isdigit()]
 
 
 def cmd_compare(args) -> int:
-    left = _read_summary(args.left)
-    right = _read_summary(args.right)
+    left, l_bounds = _read_summary(args.left)
+    right, r_bounds = _read_summary(args.right)
+    if l_bounds != r_bounds:
+        raise CommandError(f"{args.left} has interval columns {l_bounds} but "
+                           f"{args.right} has {r_bounds}: lengths at different "
+                           "levels do not compare")
     lsel = {(r, t): row for (r, t, e), row in left.items()
             if e == args.left_estimator}
     rsel = {(r, t): row for (r, t, e), row in right.items()
@@ -574,11 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--adjacency", default=None)
     p_sim.add_argument("--populations", default=None)
     p_sim.add_argument("--lattice", type=int, default=10)
-    p_sim.add_argument("--baseline", type=float, default=0.001)
-    p_sim.add_argument("--hub-bumps", dest="hub_bumps",
-                       default="0.0015,0.001,0.001")
+    p_sim.add_argument("--baseline", type=float, default=TruthRecipe.baseline)
+    p_sim.add_argument("--hub-bumps", dest="hub_bumps", default=_HUB_BUMPS)
     p_sim.add_argument("--neighbor-bump", dest="neighbor_bump", type=float,
-                       default=0.0005)
+                       default=TruthRecipe.neighbor_bump)
     p_sim.add_argument("--hubs", default=None,
                        help="comma-separated hub ids, quoted as in CSV "
                        "(default: most populated)")

@@ -194,12 +194,16 @@ def write_geojson_properties(summaries, path) -> None:
         for region, row in zip(s.region_ids, rows):
             slot = out.setdefault(region, {})
             if s.time is None:
-                slot[s.estimator] = row
-                continue
-            times = slot.setdefault(s.estimator, {})
-            if isinstance(times, str):
+                cell, key = slot, s.estimator
+            else:
+                cell, key = slot.setdefault(s.estimator, {}), str(s.time)
+            # a static slot holds a row (a str), a panel slot a dict of times
+            if isinstance(cell, str) or isinstance(cell.get(key), dict):
                 raise ValueError(f"region {region!r}: estimator {s.estimator!r} "
                                  "has both a static and a panel summary")
-            times[str(s.time)] = row
+            if key in cell:
+                raise ValueError(f"region {region!r}: estimator {s.estimator!r} "
+                                 f"has two summaries at time {s.time!r}")
+            cell[key] = row
     with open(path, "w") as fh:
         _write_json(out, fh)

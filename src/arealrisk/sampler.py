@@ -307,15 +307,15 @@ def _omega_posterior_params(alpha, rho: float):
     return 0.5 * len(alpha), 0.5 * (start + resid)
 
 
-def _adapt_scales(scales, accepted, proposed, target):
-    """Rescale proposal standard deviations from windowed acceptance rates.
+def _adapt_scales(scales, accepted, sweeps, target):
+    """Rescale proposal standard deviations from a window's acceptances.
 
-    Below the band multiplies by 0.8; above it by 1.25; inside leaves the
-    scale alone. Returns the updated array (in place).
+    Every sweep proposes every entry once, so a rate is acceptances over
+    ``sweeps``. Below the band multiplies by 0.8; above it by 1.25; inside
+    leaves the scale alone. Returns the updated array (in place).
     """
     lo, hi = target
-    with np.errstate(invalid="ignore"):
-        rate = np.where(proposed > 0, accepted / np.maximum(proposed, 1), np.nan)
+    rate = accepted / sweeps
     scales[rate < lo] *= SHRINK_FACTOR
     scales[rate > hi] *= GROW_FACTOR
     return scales
@@ -326,7 +326,7 @@ def _adapt_scales(scales, accepted, proposed, target):
 
 
 class _Block:
-    """One Metropolis block's proposal scales and counters, entry by entry.
+    """One Metropolis block's proposal scales and acceptances, entry by entry.
 
     ``nonfinite`` counts the proposals whose log ratio was NaN or +inf.
     """
@@ -334,7 +334,6 @@ class _Block:
     def __init__(self, size):
         self.scales = np.full(size, 0.1)
         self.accepted = np.zeros(size)
-        self.proposed = np.zeros(size)
         self.nonfinite = 0
 
 
@@ -366,13 +365,12 @@ class _ChainRunner:
         """Metropolis test of entry ``i`` of ``block`` at log ratio ``delta``.
 
         A NaN or +inf ratio is a rejection, counted as non-finite. ``log_u``
-        is the log of the test's uniform. Proposals and acceptances are counted.
+        is the log of the test's uniform. Acceptances are counted.
         """
         if not delta < np.inf:
             block.nonfinite += 1
             delta = -np.inf
         accept = log_u < delta
-        block.proposed[i] += 1
         block.accepted[i] += accept
         return accept
 
@@ -401,8 +399,7 @@ class _ChainRunner:
             accept = (log_u[k] < delta) & finite
             cur[idx] = np.where(accept, prop_k, cur_k)
             moved[idx] = accept
-        block.accepted += moved
-        block.proposed += 1  # the colour classes partition the entries
+        block.accepted += moved  # the colour classes partition the entries
         return moved, prop_terms
 
     def update_phi_block(self):
@@ -437,10 +434,9 @@ class _ChainRunner:
         st = self.state
         block = self.blocks["rho"]
         prop = st.rho + block.scales[0] * self.rng.standard_normal()
-        if not -1.0 < prop < 1.0:
-            block.proposed[0] += 1
-            return  # proposals outside the stationarity region draw no uniform
-        if self._accept(block, 0, _rho_log_ratio(st, prop), np.log(self.rng.random())):
+        # a proposal outside the stationarity region is rejected unseen: no uniform
+        if -1.0 < prop < 1.0 and self._accept(block, 0, _rho_log_ratio(st, prop),
+                                              np.log(self.rng.random())):
             st.rho = float(prop)
 
     def update_omega(self):
@@ -471,13 +467,13 @@ class _ChainRunner:
             self.sweep()
             if it % cfg.adapt_window == 0:
                 for b in blocks.values():
-                    _adapt_scales(b.scales, b.accepted, b.proposed,
+                    _adapt_scales(b.scales, b.accepted, cfg.adapt_window,
                                   cfg.target_acceptance)
-                    b.accepted[:] = b.proposed[:] = 0
+                    b.accepted[:] = 0
         # the kernel is frozen from here on; the reported rates count these
         # sweeps only, not the tail of a partial last window
         for b in blocks.values():
-            b.accepted[:] = b.proposed[:] = 0
+            b.accepted[:] = 0
 
         # one (draw, ...) array per parameter the state holds
         out = {name: None if getattr(st, name) is None
@@ -516,7 +512,7 @@ class _ChainRunner:
             config=cfg,
             region_ids=self.ctx.dataset.region_ids,
             times=self.ctx.dataset.times,
-            acceptance={name: b.accepted / np.where(b.proposed > 0, b.proposed, np.nan)
+            acceptance={name: b.accepted / (cfg.n_iterations - cfg.burn_in)
                         for name, b in blocks.items()},
             proposal_scales={name: b.scales.copy() for name, b in blocks.items()},
             n_nonfinite_events=sum(b.nonfinite for b in blocks.values()),

@@ -18,8 +18,7 @@ import numpy as np
 
 from .estimators import _risk_draws, summarize
 from .graph import AdjacencyGraph
-from .metrics import observed_raw_risks
-from .model import Dataset, _write_csv
+from .model import Dataset, _write_csv, internal_standardization
 from .sampler import SamplerConfig, _fork_map, run_chain
 from .seeding import derive_rng, derive_seed
 
@@ -58,6 +57,9 @@ class TruthRecipe:
             value = getattr(self, name)
             if not np.isfinite(value).all():
                 raise ValueError(f"truth recipe {name} must be finite, got {value}")
+        for i, hub in enumerate(self.hubs or ()):
+            if hub in self.hubs[:i]:  # bumping a hub twice would stack its bumps
+                raise ValueError(f"hub region id {hub!r} is named more than once")
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,12 @@ class StudyResult:
     design: dict = field(default_factory=dict)
 
 
+def _mle_risks(dataset: Dataset) -> np.ndarray:
+    """Raw risks Y/E, with the continuity correction 0.5/E at a zero count,
+    whose raw risk 0 has no log (``loss_bias``)."""
+    return np.maximum(dataset.y, 0.5) / internal_standardization(dataset)
+
+
 def _fit_and_summarize(dataset, graph, spec, config, truth, level):
     """One model fit -> {tag: (point, lower, upper)} over its estimators."""
     samples = run_chain(dataset, graph, spec, config)
@@ -186,12 +194,8 @@ def _fit_and_summarize(dataset, graph, spec, config, truth, level):
     for tag, mat in _risk_draws(samples, dataset).items():
         s = summarize(mat, dataset.region_ids, tag, level)
         out[tag] = (s.mean, s.lower, s.upper)
-    acc = {name: arr[np.isfinite(arr)] for name, arr in samples.acceptance.items()}
-    acc_range = {
-        name: (float(arr.min()), float(arr.max()))
-        for name, arr in acc.items()
-        if arr.size
-    }
+    acc_range = {name: (float(arr.min()), float(arr.max()))
+                 for name, arr in samples.acceptance.items()}
     return out, acc_range
 
 
@@ -218,9 +222,6 @@ def _replicate_task(b, master_seed, graph, truth, specs, config, level,
                     fit_fn) -> _Replicate:
     data_seed = derive_seed(master_seed, "replicate", b)
     dataset = simulate_counts(truth, seed=data_seed)
-    if np.any(dataset.y == 0):
-        return _Replicate(b, "zero count in some region; raw log-risk undefined")
-
     estimates = {}
     acceptance = {}
     for spec in specs:
@@ -232,7 +233,7 @@ def _replicate_task(b, master_seed, graph, truth, specs, config, level,
             return _Replicate(b, f"{spec.family} fit failed: {exc}")
         estimates.update(fit_out)
         acceptance.update({f"{spec.family}:{name}": r for name, r in acc.items()})
-    estimates[MLE_TAG] = (observed_raw_risks(dataset), None, None)
+    estimates[MLE_TAG] = (_mle_risks(dataset), None, None)
     r = truth.r_true
     rows = {tag: ReplicationBatch(  # this replicate's row of each batch
         tag, np.array([data_seed], dtype=np.uint64),

@@ -77,6 +77,15 @@ class TestSimulate:
         assert truth == (tmp_path / "plain" / "truth.csv").read_bytes()
         assert truth != (lattice_files / "truth.csv").read_bytes()
 
+    def test_repeated_hub_rejected(self, tmp_path, capsys):
+        rc = run_cli("simulate", "--lattice", 3, "--hubs", "r1,r1",
+                     "--hub-bumps", "0.001,0.001", "--out", tmp_path)
+        assert rc != 0
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "hub region id 'r1' is named more than once"}
+        assert not (tmp_path / "truth.csv").exists()
+
 
 class TestFit:
     def test_cg_fit_artifacts(self, lattice_files, tmp_path):
@@ -391,6 +400,26 @@ class TestCompare:
         assert rc != 0
         err = json.loads(capsys.readouterr().err)
         assert "r_cg" in err["message"]
+
+    def test_intervals_at_different_levels_rejected(self, lattice_files, tmp_path,
+                                                    capsys):
+        cg_out, is_out = tmp_path / "cg", tmp_path / "is"
+        for family, level, out in (("cg", 0.9, cg_out), ("is", 0.5, is_out)):
+            rc = run_cli("fit", "--data", lattice_files / "dataset.csv",
+                         "--adjacency", lattice_files / "adjacency.csv",
+                         "--family", family, "--level", level, *FAST, "--seed", 4,
+                         "--out", out)
+            assert rc == 0
+        left, right = cg_out / "summary.csv", is_out / "summary.csv"
+        rc = run_cli("compare", "--left", left, "--right", right,
+                     "--out", tmp_path / "cmp")
+        assert rc != 0
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CommandError",
+            "message": f"{left} has interval columns ['lo90', 'hi90'] but {right} "
+                       "has ['lo50', 'hi50']: lengths at different levels do not "
+                       "compare"}
+        assert not (tmp_path / "cmp" / "comparison.json").exists()
 
 
 class TestSeedFallback:

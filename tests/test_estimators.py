@@ -511,3 +511,16 @@ class TestWritersMatchTheirReference:
         with pytest.raises(ValueError, match="region 'A': estimator 'r_cg' has "
                                              "both a static and a panel summary"):
             write_geojson_properties(summaries, tmp_path / "props.json")
+
+    @pytest.mark.parametrize("times, message", [
+        ((1990, None), "has both a static and a panel summary"),
+        ((1990, 1990), "has two summaries at time 1990"),
+        ((None, None), "has two summaries at time None"),
+    ], ids=["panel-then-static", "panel-twice", "static-twice"])
+    def test_filled_slot_rejected(self, tmp_path, times, message):
+        # a second summary of one (estimator, time) would replace the first
+        mat = np.tile([1.0, 2.0], (150, 1))
+        summaries = [summarize(mat, ["A", "B"], "r_cg", time=t) for t in times]
+        with pytest.raises(ValueError, match=f"region 'A': estimator 'r_cg' {message}"):
+            write_geojson_properties(summaries, tmp_path / "props.json")
+        assert not (tmp_path / "props.json").exists()

@@ -284,7 +284,6 @@ class TestFullConditionalConsistency:
         runner.update_rho()
         assert st.rho == 0.5
         assert runner.blocks["rho"].accepted[0] == 0
-        assert runner.blocks["rho"].proposed[0] == 1
 
     def test_huge_tau_pins_phi_to_neighbor_mean(self):
         rng = np.random.default_rng(5)
@@ -606,12 +605,9 @@ class TestRunChain:
         blocks, sweep, per_sweep = runner.blocks, runner.sweep, []
 
         def counted_sweep():
-            before = {b: (blocks[b].accepted.copy(), blocks[b].proposed.copy())
-                      for b in blocks}
+            before = {b: blocks[b].accepted.copy() for b in blocks}
             sweep()
-            per_sweep.append({b: (blocks[b].accepted - acc,
-                                  blocks[b].proposed - tries)
-                              for b, (acc, tries) in before.items()})
+            per_sweep.append({b: blocks[b].accepted - acc for b, acc in before.items()})
 
         runner.sweep = counted_sweep
         runner.run()
@@ -619,9 +615,8 @@ class TestRunChain:
         post = per_sweep[burn_in:]
         assert set(reported) == set(blocks)
         for block, rate in reported.items():
-            accepted = sum(counts[block][0] for counts in post)
-            proposed = sum(counts[block][1] for counts in post)
-            assert np.array_equal(rate, accepted / proposed), block
+            accepted = sum(counts[block] for counts in post)
+            assert np.array_equal(rate, accepted / len(post)), block
 
 
 class TestScalesFreeze:
@@ -954,7 +949,6 @@ class TestNonFinite:
         expected = np.zeros(block.accepted.size)
         expected[idx] = mixed == 0.0
         assert np.array_equal(block.accepted, expected)
-        assert np.all(block.proposed == 1)
         assert CountedUniforms.sizes == [c.size for c in runner.ctx.colors]
         n_bad = int(np.sum(np.isnan(mixed) | (mixed == np.inf)))
         assert self.nonfinite(runner) == {"phi": n_bad, "beta": 0, "alpha": 0,
@@ -972,9 +966,7 @@ class TestNonFinite:
         getattr(runner, update)()
         assert np.array_equal(getattr(st, block), before)
         assert runner.blocks[block].accepted.sum() == 0
-        n_proposals = runner.blocks[block].proposed.sum()
-        assert n_proposals == before.size
-        assert self.nonfinite(runner) == {name: n_proposals if name == block else 0
+        assert self.nonfinite(runner) == {name: before.size if name == block else 0
                                           for name in ("phi", "beta", "alpha", "rho")}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -986,7 +978,7 @@ class TestNonFinite:
         for _ in range(5):
             runner.update_rho()
         assert st.rho == 0.0
-        assert block.accepted[0] == 0 and block.proposed[0] == 5
+        assert block.accepted[0] == 0
         assert self.nonfinite(runner) == {"phi": 0, "beta": 0, "alpha": 0, "rho": 5}
 
     def test_one_warning_per_block_at_end_of_chain(self, monkeypatch, caplog):
@@ -1030,7 +1022,69 @@ class TestSweepCallsTheCheckedRatios:
         for block, value in before.items():
             assert np.array_equal(getattr(st, block), value), block
             assert runner.blocks[block].accepted.sum() == 0, block
-            assert np.all(runner.blocks[block].proposed == 5), block
+
+
+class TestOneProposalPerEntryPerSweep:
+    """A rate is acceptances over sweeps because every sweep proposes every
+    entry of every Metropolis block once, which is counted here apart from the
+    sampler: by each block's normal draws, and by the entries its ratios see."""
+
+    @pytest.mark.parametrize("dynamic", [False, True])
+    @pytest.mark.parametrize("family", ["cg", "is"])
+    def test_every_entry_proposed_once_per_sweep(self, monkeypatch, family, dynamic):
+        graph, data = covariate_problem(np.random.default_rng(42), 2,
+                                        T=4 if dynamic else None)
+        spec = ModelSpec(family, temporal="dynamic_ar1" if dynamic else "static")
+        runner = _ChainRunner(data, graph, spec, quick_config())
+        ctx, rng, current = runner.ctx, runner.rng, [None]
+        normals, entries = {}, {}
+
+        def entered(name, update):
+            def run():
+                current[0] = name
+                update()
+                current[0] = None
+            return run
+
+        for name, update in (("phi", "update_phi_block"), ("beta", "update_beta"),
+                             ("alpha", "update_alpha"), ("rho", "update_rho")):
+            setattr(runner, update, entered(name, getattr(runner, update)))
+
+        class CountedNormals:
+            def standard_normal(self, size=None):
+                normals[current[0]] = normals.get(current[0], 0) + (size or 1)
+                return rng.standard_normal(size)
+
+            random, gamma = rng.random, rng.gamma
+
+        def seen(name, ratio, picked):
+            def record(*a):
+                entries.setdefault(name, []).append(picked(*a))
+                return ratio(*a)
+            monkeypatch.setattr(sampler, ratio.__name__, record)
+
+        seen("phi", _phi_log_ratio, lambda ctx, st, k, *_: ctx.colors[k])
+        seen("alpha", _alpha_log_ratio, lambda ctx, st, k, *_: ctx.year_colors[k])
+        seen("beta", _beta_log_ratio, lambda ctx, st, prop, _: prop != st.beta)
+        seen("rho", _rho_log_ratio, lambda st, prop: [0])
+        runner.rng = CountedNormals()
+        if dynamic:  # most rho proposals fall outside (-1, 1) and reach no ratio
+            runner.blocks["rho"].scales[:] = 3.0
+        sizes = {name: block.accepted.size for name, block in runner.blocks.items()}
+        rho_ratios = 0
+        for _ in range(20):
+            normals.clear()
+            entries.clear()
+            runner.sweep()
+            assert normals == sizes
+            for name in ("phi", "alpha"):
+                if name in sizes:
+                    assert np.array_equal(np.sort(np.concatenate(entries[name])),
+                                          np.arange(sizes[name])), name
+            assert np.array_equal(np.sum(entries["beta"], axis=0), np.ones(2))
+            rho_ratios += len(entries.get("rho", []))
+        if dynamic:
+            assert 0 < rho_ratios < 20
 
 
 def batch_means_mcse(draws, batches=50):

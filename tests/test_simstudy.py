@@ -61,6 +61,12 @@ class TestBuildTruth:
         with pytest.raises(ValueError, match="unknown hub"):
             build_truth(grid, pops, TruthRecipe(hubs=("nope", "r3", "r12")))
 
+    def test_repeated_hub_rejected(self):
+        # bumping r3 twice would give it baseline plus both bumps
+        with pytest.raises(ValueError, match="hub region id 'r3' is named more "
+                                             "than once"):
+            TruthRecipe(hubs=("r3", "r12", "r3"))
+
     def test_weighted_mean_risk_is_one(self, grid, pops):
         t = build_truth(grid, pops)
         assert t.r_true @ pops / pops.sum() == pytest.approx(1.0, rel=1e-12)
@@ -438,19 +444,32 @@ class TestRunStudyFailures:
         assert sorted({int(row.split(",")[0]) for row in rows}) == [0, 2]
         assert len(rows) == 2 * grid.n_regions * 3  # r_is, r_cg_tilde, r_cg
 
-    def test_zero_count_replicate_excluded(self, grid):
+    def test_zero_count_replicate_kept(self, grid):
+        # a zero count drops no replicate: mle reads it as 0.5/E, and the
+        # model estimators need no correction
+        from arealrisk.metrics import observed_raw_risks
+        from arealrisk.model import internal_standardization
         from arealrisk.seeding import derive_seed
+        from arealrisk.simstudy import _mle_risks
 
         truth = build_truth(grid, np.full(grid.n_regions, 3500.0))
-        zero = [b for b in range(4) if np.any(simulate_counts(
-            truth, seed=derive_seed(0, "replicate", b)).y == 0)]
+        seeds = [derive_seed(0, "replicate", b) for b in range(4)]
+        data = [simulate_counts(truth, seed=seed) for seed in seeds]
+        zero = [b for b, d in enumerate(data) if np.any(d.y == 0)]
         assert 0 < len(zero) < 4  # the populations give a mix at this seed
         res = run_study(grid, truth, B=4, specs=STUDY_SPECS, config=tiny_config(),
                         master_seed=0, fit_fn=truth_stub_fit)
-        reason = "zero count in some region; raw log-risk undefined"
-        assert res.failures == [(b, reason) for b in zero]
-        assert res.design["B_effective"] == 4 - len(zero)
-        assert res.batches["mle"].loss_ratio.shape == (4 - len(zero),)
+        assert res.failures == []
+        assert res.design["B_effective"] == 4
+        for batch in res.batches.values():
+            assert batch.replicate_seeds.tolist() == seeds
+        mle = res.batches["mle"]
+        assert np.isfinite(mle.loss_ratio).all() and np.isfinite(mle.loss_bias).all()
+        d = data[zero[0]]
+        at_zero = d.y == 0
+        risks, E = _mle_risks(d), internal_standardization(d)
+        assert np.array_equal(risks[at_zero], 0.5 / E[at_zero])
+        assert np.array_equal(risks[~at_zero], observed_raw_risks(d)[~at_zero])
 
     def test_every_replicate_failing_raises(self, grid, pops):
         truth = build_truth(grid, pops)
